@@ -72,11 +72,6 @@ def algorithm_from_mnemonic(text: str) -> int:
     raise UnsupportedAlgorithm(f"unknown algorithm {text!r}")
 
 
-def compute_key_tag(rdata: DnskeyRdata) -> int:
-    """Checksum key id over the DNSKEY RDATA octets (shown in key filenames)."""
-    return rdata.key_tag()
-
-
 def encode_rsa_public(key: rsa.RsaPublicKey) -> bytes:
     """DNSKEY public key field for RSA: exponent length, exponent, modulus."""
     e = key.e.to_bytes((key.e.bit_length() + 7) // 8, "big")

@@ -8,6 +8,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .names import DnsName
@@ -311,6 +312,10 @@ class DnskeyRdata:
     canonical_wire = to_wire
 
     def key_tag(self) -> int:
+        return self._key_tag
+
+    @cached_property
+    def _key_tag(self) -> int:
         return key_tag_from_rdata(self.to_wire())
 
     @classmethod

@@ -6,74 +6,33 @@ in-memory simulated network, and the validator's fetch path in tests.
 
 from __future__ import annotations
 
+import errno
 import socketserver
 import struct
 import threading
 from dataclasses import replace
 
 from .message import DnsMessage, Edns, Rcode, decode_message, encode_message
-from .names import DnsName, canonical_compare
+from .names import DnsName
 from .records import ResourceRecord, RType
 from .zonefile import Zone
 
 SERVER_UDP_PAYLOAD = 4096
 PLAIN_UDP_LIMIT = 512
+BIND_ATTEMPTS = 5
 
 
-class ZoneIndex:
-    """Owner/type lookup tables over a zone, built once per load."""
-
-    def __init__(self, zone: Zone):
-        self.zone = zone
-        self.apex = zone.apex
-        self._by_owner: dict[DnsName, dict[int, list[ResourceRecord]]] = {}
-        for record in zone.records:
-            self._by_owner.setdefault(record.owner, {}) \
-                .setdefault(record.rtype, []).append(record)
-        self.delegations = frozenset(zone.delegations())
-        self.soa_record = zone.soa_record
-        self.nsec_records = [r for r in zone.records if r.rtype == RType.NSEC]
-
-    def records_at(self, owner: DnsName, rtype: int | None = None) -> list:
-        types = self._by_owner.get(owner)
-        if types is None:
-            return []
-        if rtype is None:
-            return [r for records in types.values() for r in records]
-        return types.get(rtype, [])
+def find_zone(zones: list, qname: DnsName) -> Zone | None:
+    return max((zone for zone in zones if qname.is_subdomain_of(zone.apex)),
+               key=lambda zone: zone.apex.label_count(), default=None)
 
 
-def _as_index(zone: Zone | ZoneIndex) -> ZoneIndex:
-    return zone if isinstance(zone, ZoneIndex) else ZoneIndex(zone)
-
-
-def find_zone(zones: list, qname: DnsName) -> ZoneIndex | None:
-    best = None
-    for zone in zones:
-        if qname.is_subdomain_of(zone.apex):
-            if best is None or zone.apex.label_count() > best.apex.label_count():
-                best = zone
-    return _as_index(best) if best is not None else None
-
-
-def _covering_nsec(zone: ZoneIndex, qname: DnsName) -> ResourceRecord | None:
-    for record in zone.nsec_records:
-        owner, nxt = record.owner, record.rdata.next_name
-        if owner == qname:
-            return record
-        if canonical_compare(owner, qname) < 0 and (
-                canonical_compare(qname, nxt) < 0
-                or canonical_compare(nxt, owner) <= 0):
-            return record
-    return None
-
-
-def _rrsigs_covering(zone: ZoneIndex, owner: DnsName, rtype: int) -> list[ResourceRecord]:
+def _rrsigs_covering(zone: Zone, owner: DnsName, rtype: int) -> list[ResourceRecord]:
     return [r for r in zone.records_at(owner, RType.RRSIG)
             if r.rdata.type_covered == rtype]
 
 
-def _add_with_sigs(zone: ZoneIndex, section: list, owner: DnsName, rtype: int,
+def _add_with_sigs(zone: Zone, section: list, owner: DnsName, rtype: int,
                    dnssec: bool) -> bool:
     records = zone.records_at(owner, rtype)
     if not records:
@@ -84,17 +43,8 @@ def _add_with_sigs(zone: ZoneIndex, section: list, owner: DnsName, rtype: int,
     return True
 
 
-def _deepest_cut(zone: ZoneIndex, qname: DnsName) -> DnsName | None:
-    best = None
-    for cut in zone.delegations:
-        if qname.is_subdomain_of(cut):
-            if best is None or cut.label_count() > best.label_count():
-                best = cut
-    return best
-
-
 def answer_authoritative(query: DnsMessage, zones: list) -> DnsMessage:
-    """Answer one query from authoritative data (zones may be pre-indexed).
+    """Answer one query from authoritative data.
 
     Exact matches get aa answers with RRSIGs when the DO bit is set; names
     below a delegation get referrals; absent names get NXDOMAIN with the SOA
@@ -116,13 +66,13 @@ def answer_authoritative(query: DnsMessage, zones: list) -> DnsMessage:
         reply.rcode = Rcode.REFUSED
         return reply
 
-    cut = _deepest_cut(zone, q.name)
+    cut = zone.deepest_cut(q.name)
     if cut is not None and not (q.name == cut and q.qtype == RType.DS):
         # Referral toward the child zone; never authoritative.
         reply.authority.extend(zone.records_at(cut, RType.NS))
         if dnssec:
             if not _add_with_sigs(zone, reply.authority, cut, RType.DS, dnssec):
-                nsec = _covering_nsec(zone, cut)
+                nsec = zone.covering_nsec(cut)
                 if nsec is not None:
                     reply.authority.append(nsec)
                     reply.authority.extend(
@@ -148,7 +98,7 @@ def answer_authoritative(query: DnsMessage, zones: list) -> DnsMessage:
     if not zone.records_at(q.name):
         reply.rcode = Rcode.NXDOMAIN
     if dnssec:
-        nsec = _covering_nsec(zone, q.name)
+        nsec = zone.covering_nsec(q.name)
         if nsec is not None:
             reply.authority.append(nsec)
             reply.authority.extend(_rrsigs_covering(zone, nsec.owner, RType.NSEC))
@@ -176,7 +126,7 @@ class AuthoritativeService:
     """Wire-level request handling shared by every transport flavor."""
 
     def __init__(self, zones: list[Zone]):
-        self.zones = [_as_index(z) for z in zones]
+        self.zones = list(zones)
 
     def handle_wire(self, wire: bytes, via_tcp: bool) -> bytes | None:
         try:
@@ -263,17 +213,24 @@ class DnsServer:
     def __init__(self, zones, address: str = "127.0.0.1", port: int = 5353):
         self.service = (zones if hasattr(zones, "handle_wire")
                         else AuthoritativeService(zones))
-        self._udp = _UdpServer((address, port), _UdpHandler)
-        self._udp.service = self.service
-        actual_port = self._udp.server_address[1]
-        self._tcp = _TcpServer((address, actual_port), _TcpHandler)
-        self._tcp.service = self.service
+        # With port 0, TCP binds the port UDP got; if that is taken, try a new pair.
+        attempts = 1 if port else BIND_ATTEMPTS
+        for attempt in range(attempts):
+            self._udp = _UdpServer((address, port), _UdpHandler)
+            try:
+                self._tcp = _TcpServer((address, self._udp.server_address[1]), _TcpHandler)
+                break
+            except OSError as exc:
+                self._udp.server_close()
+                if exc.errno != errno.EADDRINUSE or attempt + 1 == attempts:
+                    raise
+        self._udp.service = self._tcp.service = self.service
         self.address = address
-        self.port = actual_port
+        self.port = self._udp.server_address[1]
         self._threads: list[threading.Thread] = []
 
     def reload(self, zones: list[Zone]) -> None:
-        self.service.zones = [_as_index(z) for z in zones]
+        self.service.zones = list(zones)
 
     def start(self) -> None:
         for server in (self._udp, self._tcp):

@@ -98,7 +98,7 @@ def build_nsec_chain(zone: Zone) -> Zone:
     if any(r.rtype == RType.NSEC for r in zone.records):
         raise SignerError("zone already carries an NSEC chain")
     owners = authoritative_owners(zone)
-    ttl = zone.soa.minimum
+    ttl = zone.soa_record.rdata.minimum
     records = list(zone.records)
     for i, owner in enumerate(owners):
         next_name = owners[(i + 1) % len(owners)]

@@ -7,11 +7,12 @@ strings, and base64 continuation for DNSKEY/RRSIG payloads.
 from __future__ import annotations
 
 import base64
+import bisect
 import io
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .names import DnsName, NameError_
 from .records import (RClass, RType, RdataError, ResourceRecord, RRset,
@@ -39,42 +40,84 @@ class DuplicateSoa(ZoneError):
     pass
 
 
+class _Tables(NamedTuple):
+    size: int        # len(records) when built
+    by_owner: dict   # owner -> rtype -> records, in record order
+    cuts: frozenset  # owners of NS RRsets below the apex
+    nsec_keys: list  # canonical keys of the NSEC owners, sorted
+    nsecs: list      # the NSEC records, in nsec_keys order
+
+
 @dataclass
 class Zone:
     """A zone: its apex, its records (including the single apex SOA), and the
-    child cuts delegated away by NS records below the apex."""
+    child cuts delegated away by NS records below the apex.
+
+    Lookups read tables built on first use and rebuilt when len(records)
+    changes (records are appended, never replaced in place)."""
     apex: DnsName
     records: list = field(default_factory=list)
+    _tables: _Tables | None = field(default=None, init=False, repr=False)
 
-    @property
-    def soa(self):
-        for record in self.records:
-            if record.rtype == RType.SOA and record.owner == self.apex:
-                return record.rdata
-        raise MissingSoa(f"zone {self.apex} has no SOA")
+    def _index(self) -> _Tables:
+        tables = self._tables
+        if tables is None or tables.size != len(self.records):
+            by_owner: dict = {}
+            for record in self.records:
+                by_owner.setdefault(record.owner, {}).setdefault(record.rtype, []).append(record)
+            cuts = frozenset(owner for owner, types in by_owner.items()
+                             if RType.NS in types and owner != self.apex)
+            nsecs = sorted((r for r in self.records if r.rtype == RType.NSEC),
+                           key=lambda r: r.owner.canonical_key())
+            tables = self._tables = _Tables(len(self.records), by_owner, cuts,
+                                            [r.owner.canonical_key() for r in nsecs], nsecs)
+        return tables
 
     @property
     def soa_record(self) -> ResourceRecord:
-        for record in self.records:
-            if record.rtype == RType.SOA and record.owner == self.apex:
-                return record
-        raise MissingSoa(f"zone {self.apex} has no SOA")
+        soas = self.records_at(self.apex, RType.SOA)
+        if not soas:
+            raise MissingSoa(f"zone {self.apex} has no SOA")
+        return soas[0]
 
     def delegations(self) -> set[DnsName]:
-        return {r.owner for r in self.records
-                if r.rtype == RType.NS and r.owner != self.apex}
+        return set(self._index().cuts)
+
+    def deepest_cut(self, name: DnsName) -> DnsName | None:
+        """The deepest delegation cut at or above `name`."""
+        cuts = self._index().cuts
+        while name not in cuts:
+            if not name.labels:
+                return None
+            name = name.parent()
+        return name
 
     def is_glue(self, owner: DnsName) -> bool:
         """True when `owner` lies strictly below a delegation cut."""
-        return any(owner != cut and owner.is_subdomain_of(cut)
-                   for cut in self.delegations())
+        return bool(owner.labels) and self.deepest_cut(owner.parent()) is not None
+
+    def covering_nsec(self, name: DnsName) -> ResourceRecord | None:
+        """The NSEC owned by `name`, or else the one whose owner..next span
+        covers it in canonical order (RFC 4035 §3.1.3), found by bisection."""
+        tables = self._index()
+        key = name.canonical_key()
+        i = bisect.bisect_right(tables.nsec_keys, key) - 1
+        if i < 0:
+            return None
+        record, owner_key = tables.nsecs[i], tables.nsec_keys[i]
+        next_key = record.rdata.next_name.canonical_key()
+        if owner_key == key or key < next_key or next_key <= owner_key:
+            return record
+        return None
 
     def owners(self) -> set[DnsName]:
-        return {r.owner for r in self.records}
+        return set(self._index().by_owner)
 
     def records_at(self, owner: DnsName, rtype: int | None = None) -> list:
-        return [r for r in self.records
-                if r.owner == owner and (rtype is None or r.rtype == rtype)]
+        types = self._index().by_owner.get(owner, {})
+        if rtype is None:
+            return [r for records in types.values() for r in records]
+        return list(types.get(rtype, ()))
 
     def rrsets(self) -> list[RRset]:
         return group_rrsets(self.records)

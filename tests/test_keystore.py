@@ -7,10 +7,10 @@ from dnsseclab import rsa
 from dnsseclab.keystore import (BadKeySize, KeyMismatch, KeyPair, KeyRole,
                                 NotAKsk, ParseError, TrustAnchor,
                                 UnsupportedAlgorithm, algorithm_from_mnemonic,
-                                compute_key_tag, decode_rsa_public,
-                                encode_rsa_public, export_trust_anchor,
-                                generate_key, parse_trust_anchors,
-                                read_key_files, read_key_pair, write_key_files)
+                                decode_rsa_public, encode_rsa_public,
+                                export_trust_anchor, generate_key,
+                                parse_trust_anchors, read_key_files,
+                                read_key_pair, write_key_files)
 from dnsseclab.records import DnskeyRdata, RType
 from dnsseclab.zonefile import parse_record_line
 
@@ -101,7 +101,7 @@ def test_key_files_round_trip(tmp_path):
 def test_key_tag_stable_under_file_round_trip(tmp_path):
     key = small_key(seed=17)
     loaded = read_key_files(*write_key_files(key, tmp_path))
-    assert compute_key_tag(loaded.public) == compute_key_tag(key.public)
+    assert loaded.public.key_tag() == key.public.key_tag()
 
 
 def test_mismatched_halves_rejected(tmp_path):

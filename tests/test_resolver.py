@@ -1,3 +1,4 @@
+import errno
 import random
 
 import pytest
@@ -438,6 +439,38 @@ def test_real_udp_tcp_server(signed_zone):
         tcp_reply = decode_message(
             transport.query("127.0.0.1", encode_message(query), tcp=True))
         assert tcp_reply.answers
+    finally:
+        server.shutdown()
+
+
+def test_port_zero_rebinds_pair_when_tcp_port_is_taken(signed_zone, monkeypatch):
+    """With port 0, TCP binds the port UDP got; when TCP finds it taken, the
+    server closes that UDP socket and binds a fresh pair on one port."""
+    from dnsseclab import server as server_module
+    real_udp, real_tcp = server_module._UdpServer, server_module._TcpServer
+    udp_servers, failures = [], [OSError(errno.EADDRINUSE, "Address already in use")]
+
+    def udp(*args):
+        udp_servers.append(real_udp(*args))
+        return udp_servers[-1]
+
+    def tcp(*args):
+        if failures:
+            raise failures.pop()
+        return real_tcp(*args)
+
+    monkeypatch.setattr(server_module, "_UdpServer", udp)
+    monkeypatch.setattr(server_module, "_TcpServer", tcp)
+    server = DnsServer([signed_zone.zone], address="127.0.0.1", port=0)
+    server.start()
+    try:
+        assert len(udp_servers) == 2 and udp_servers[0].socket.fileno() == -1
+        assert server._udp is udp_servers[1]
+        assert server._udp.server_address[1] == server._tcp.server_address[1] == server.port
+        transport = SocketTransport(port=server.port)
+        wire = encode_message(make_query(APEX, RType.A, id=5))
+        for tcp_flag in (False, True):
+            assert decode_message(transport.query("127.0.0.1", wire, tcp=tcp_flag)).answers
     finally:
         server.shutdown()
 

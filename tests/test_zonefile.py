@@ -43,8 +43,8 @@ def test_duplicate_soa():
 def test_fixture_zone_parses():
     zone = parse_zone_file(ZONE_TEXT, APEX)
     assert len(zone.records) == 12
-    assert zone.soa.serial == 2011071101
-    assert zone.soa.minimum == 3600
+    assert zone.soa_record.rdata.serial == 2011071101
+    assert zone.soa_record.rdata.minimum == 3600
 
 
 def test_round_trip_fixture():
@@ -95,8 +95,8 @@ $TTL 300
         604800 3600 )
 """
     zone = parse_zone_file(text, APEX)
-    assert zone.soa.serial == 2011071101
-    assert zone.soa.mname == DnsName.from_text("ns.domaine.ma.")
+    assert zone.soa_record.rdata.serial == 2011071101
+    assert zone.soa_record.rdata.mname == DnsName.from_text("ns.domaine.ma.")
 
 
 def test_owner_inheritance_and_relative_names():
