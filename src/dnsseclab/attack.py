@@ -276,10 +276,7 @@ def run_attack(cfg: AttackConfig, victim: RecursiveResolver,
         for round_index in range(cfg.query_rounds):
             qname = DnsName.from_text(f"r{trial}-{round_index}.{label}.")
             attacker.arm(qname)
-            try:
-                victim.resolve_name(qname, RType.A)
-            except Exception:
-                pass
+            victim.resolve_name(qname, RType.A)
             attacker.arm(None)
             if cache_poisoned(victim, attacker, cfg, network.clock()):
                 successes += 1

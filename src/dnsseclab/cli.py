@@ -16,8 +16,8 @@ from .config import ConfigError, load_root_hints, load_server_config
 from .keystore import (KeyRole, KeystoreError, algorithm_from_mnemonic,
                        generate_key, load_trust_anchors, read_key_pair,
                        write_key_files)
-from .message import (FLAG_ORDER, DnsMessage, Edns, Rcode, decode_message,
-                      encode_message, make_query, rcode_to_text)
+from .message import (FLAG_ORDER, DnsMessage, Edns, Rcode, encode_message,
+                      make_query, rcode_to_text)
 from .names import DnsName, NameError_
 from .records import RType, rtype_from_text, rtype_to_text
 from .resolver import Cache, RecursiveResolver, ResolverConfig
@@ -198,12 +198,8 @@ def cmd_dig(args) -> int:
     wire = encode_message(query)
     print(f"; <<>> dnsseclab dig <<>> {' '.join(args.tokens)}")
     try:
-        reply_wire = transport.query(server, wire, tcp=tcp)
-        reply = decode_message(reply_wire)
-        if "tc" in reply.flags and not tcp:
-            reply_wire = transport.query(server, wire, tcp=True)
-            reply = decode_message(reply_wire)
-    except (Timeout, TransportError) as exc:
+        reply, reply_wire = transport.exchange(server, wire, tcp=tcp)
+    except TransportError as exc:
         print(";; Got no answer:")
         print(f";; transport failure: {exc}")
         raise CliError(str(exc), EXIT_TRANSPORT) from exc

@@ -2,8 +2,10 @@
 
 Queries deliver synchronously: taps inject forged packets first, the
 legitimate reply arrives last, and the querying socket accepts the first
-packet whose source, destination port, transaction id and question all match.
-That models the exact race a cache-poisoning attacker exploits.
+packet whose source and destination port match and that passes
+`transport.reply_matches` (transaction id and question), the same rule the
+real-socket transport applies. That models the exact race a cache-poisoning
+attacker exploits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, NamedTuple, Protocol
 
 from .message import decode_message
 from .names import DnsName
-from .transport import Timeout, Transport
+from .transport import Timeout, Transport, TransportError, reply_matches
 
 
 @dataclass(frozen=True)
@@ -108,19 +110,18 @@ class SimTransport(Transport):
         handler = net.hosts.get(address)
         net.transactions += 1
         net.advance(net.latency)
+        txid = int.from_bytes(wire[:2], "big")
+        question = decode_message(wire).question
         if tcp:
             # Connection-oriented; off-path injection does not apply.
-            if handler is None:
-                raise Timeout(f"no route to {address}/tcp")
-            reply = handler(wire, True)
+            reply = handler(wire, True) if handler else None
             if reply is None:
                 raise Timeout(f"{address} did not answer over tcp")
+            if not reply_matches(reply, txid, question):
+                raise TransportError(f"tcp reply from {address} does not match the query")
             return reply
 
-        txid = int.from_bytes(wire[:2], "big")
         src_port = self.ports.next_port()
-        query = decode_message(wire)
-        question = query.question
         packets: list[InjectedPacket] = []
         for tap in net.taps:
             if tap.on_path:
@@ -138,25 +139,9 @@ class SimTransport(Transport):
                                               forged=False))
         for packet in packets:
             net.advance(net.latency)
-            if self._accept(packet, address, src_port, txid, question):
+            if (packet.claimed_src == address and packet.dst_port == src_port
+                    and reply_matches(packet.wire, txid, question)):
                 if packet.forged:
                     net.forged_matcher_hits += 1
                 return packet.wire
         raise Timeout(f"no matching answer from {address}")
-
-    @staticmethod
-    def _accept(packet: InjectedPacket, address: str, src_port: int,
-                txid: int, question) -> bool:
-        # Cheap fields first; the packet is only decoded when they line up.
-        if packet.claimed_src != address or packet.dst_port != src_port:
-            return False
-        if len(packet.wire) < 12 or int.from_bytes(packet.wire[:2], "big") != txid:
-            return False
-        try:
-            reply = decode_message(packet.wire)
-        except ValueError:
-            return False
-        answer_q = reply.question
-        return (answer_q is not None
-                and answer_q.name == question.name
-                and answer_q.qtype == question.qtype)

@@ -10,10 +10,10 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import RootHints
-from .message import DnsMessage, Edns, Rcode, decode_message, encode_message, make_query
+from .message import DnsMessage, Edns, Rcode, encode_message, make_query
 from .names import DnsName
 from .records import ResourceRecord, RRset, RType, group_rrsets
-from .transport import Timeout, Transport
+from .transport import Timeout, Transport, TransportError
 from .validator import FetchFailure, Security, validate_chain
 
 MAX_NEGATIVE_TTL = 3600
@@ -139,17 +139,13 @@ def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
         query = make_query(qname, qtype, id=transport.new_txid(),
                            edns=Edns(do=do, udp_payload=udp_payload))
         wire = encode_message(query)
-        msg = None
         for address in candidates:
             try:
-                reply_wire = transport.query(address, wire)
+                msg, _ = transport.exchange(address, wire)
+                break
             except Timeout:
                 continue
-            msg = decode_message(reply_wire)
-            if "tc" in msg.flags:
-                msg = decode_message(transport.query(address, wire, tcp=True))
-            break
-        if msg is None:
+        else:
             raise Timeout(f"all servers timed out for {qname}")
         if on_response is not None:
             on_response(msg)
@@ -200,7 +196,7 @@ class RecursiveResolver:
             return self._reply_from_cache(query, entry, now)
         try:
             upstream = self._resolve_upstream(q.name, q.qtype, now)
-        except (ResolutionError, Timeout, FetchFailure):
+        except (ResolutionError, TransportError, FetchFailure):
             return self._servfail(query)
         return self._finish(query, upstream, now)
 

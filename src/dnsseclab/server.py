@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import errno
 import socketserver
-import struct
 import threading
 from dataclasses import replace
 
 from .message import DnsMessage, Edns, Rcode, decode_message, encode_message
 from .names import DnsName
 from .records import ResourceRecord, RType
+from .transport import TransportError, recv_framed
 from .zonefile import Zone
 
 SERVER_UDP_PAYLOAD = 4096
@@ -176,25 +176,13 @@ class _UdpHandler(socketserver.BaseRequestHandler):
 
 class _TcpHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        header = self._read_exact(2)
-        if header is None:
-            return
-        (length,) = struct.unpack(">H", header)
-        wire = self._read_exact(length)
-        if wire is None:
-            return
+        try:
+            wire = recv_framed(self.request)
+        except TransportError:
+            return  # the client closed before sending a whole message
         reply = self.server.service.handle_wire(wire, via_tcp=True)
         if reply is not None:
-            self.request.sendall(struct.pack(">H", len(reply)) + reply)
-
-    def _read_exact(self, count: int) -> bytes | None:
-        data = b""
-        while len(data) < count:
-            chunk = self.request.recv(count - len(data))
-            if not chunk:
-                return None
-            data += chunk
-        return data
+            self.request.sendall(len(reply).to_bytes(2, "big") + reply)
 
 
 class _UdpServer(socketserver.ThreadingUDPServer):
@@ -240,7 +228,8 @@ class DnsServer:
 
     def shutdown(self) -> None:
         for server in (self._udp, self._tcp):
-            server.shutdown()
+            if self._threads:  # socketserver's shutdown() blocks unless serve_forever runs
+                server.shutdown()
             server.server_close()
 
     def serve_forever(self) -> None:

@@ -1,11 +1,14 @@
-"""Transport interface: real UDP/TCP sockets, or the simulated network."""
+"""Transport interface: real UDP/TCP sockets, or the simulated network.
+Both accept a reply only when it `reply_matches` the query."""
 
 from __future__ import annotations
 
 import random
 import socket
-import struct
 import threading
+import time
+
+from .message import DnsMessage, Question, decode_message
 
 
 class TransportError(Exception):
@@ -14,6 +17,34 @@ class TransportError(Exception):
 
 class Timeout(TransportError):
     pass
+
+
+def reply_matches(reply: bytes, txid: int, question: Question) -> bool:
+    """Same id, then (decoded only then) same qname in any case and qtype:
+    RFC 5452 §9.1, less the source check that each transport makes itself."""
+    if len(reply) < 12 or int.from_bytes(reply[:2], "big") != txid:
+        return False
+    try:
+        answer_q = decode_message(reply).question
+    except ValueError:
+        return False
+    return (answer_q is not None
+            and (answer_q.name, answer_q.qtype) == (question.name, question.qtype))
+
+
+def recv_framed(sock: socket.socket) -> bytes:
+    """Read one DNS message with its 2-byte length prefix from a TCP stream."""
+    return _recv_exact(sock, int.from_bytes(_recv_exact(sock, 2), "big"))
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise TransportError("tcp connection closed mid-message")
+        data += chunk
+    return data
 
 
 class Transport:
@@ -25,6 +56,15 @@ class Transport:
 
     def new_txid(self) -> int:
         raise NotImplementedError
+
+    def exchange(self, address: str, wire: bytes,
+                 tcp: bool = False) -> tuple[DnsMessage, bytes]:
+        """The decoded reply and its wire; a truncated UDP reply is asked again over TCP."""
+        reply = self.query(address, wire, tcp=tcp)
+        msg = decode_message(reply)
+        if "tc" in msg.flags and not tcp:
+            return self.exchange(address, wire, tcp=True)
+        return msg, reply
 
 
 class SocketTransport(Transport):
@@ -59,9 +99,13 @@ class SocketTransport(Transport):
               timeout: float | None = None) -> bytes:
         host, port = self._split(address)
         timeout = self.timeout if timeout is None else timeout
-        if tcp:
-            return self._query_tcp(host, port, wire, timeout)
-        return self._query_udp(host, port, wire, timeout)
+        query = decode_message(wire)
+        if not tcp:
+            return self._query_udp(host, port, wire, query, timeout)
+        reply = self._query_tcp(host, port, wire, timeout)
+        if not reply_matches(reply, query.id, query.question):
+            raise TransportError(f"tcp reply from {host}:{port} does not match the query")
+        return reply
 
     def close(self) -> None:
         with self._lock:
@@ -70,7 +114,7 @@ class SocketTransport(Transport):
                 self._fixed_sock = None
 
     def _query_udp(self, host: str, port: int, wire: bytes,
-                   timeout: float) -> bytes:
+                   query: DnsMessage, timeout: float) -> bytes:
         if self.source_port == "fixed":
             with self._lock:
                 if self._fixed_sock is None:
@@ -78,45 +122,35 @@ class SocketTransport(Transport):
                                                      socket.SOCK_DGRAM)
                     self._fixed_sock.bind(("", 0))
                 return self._exchange(self._fixed_sock, host, port, wire,
-                                      timeout)
+                                      query, timeout)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            return self._exchange(sock, host, port, wire, timeout)
+            return self._exchange(sock, host, port, wire, query, timeout)
 
     @staticmethod
     def _exchange(sock: socket.socket, host: str, port: int, wire: bytes,
-                  timeout: float) -> bytes:
-        sock.settimeout(timeout)
+                  query: DnsMessage, timeout: float) -> bytes:
+        deadline = time.monotonic() + timeout  # stray datagrams do not extend it
         try:
             sock.sendto(wire, (host, port))
-            while True:
+            while (remaining := deadline - time.monotonic()) > 0:
+                sock.settimeout(remaining)
                 data, sender = sock.recvfrom(65535)
-                if sender[0] == host and sender[1] == port:
+                if (sender[0] == host and sender[1] == port
+                        and reply_matches(data, query.id, query.question)):
                     return data
-        except socket.timeout as exc:
-            raise Timeout(f"udp query to {host}:{port} timed out") from exc
+        except socket.timeout:
+            pass
         except OSError as exc:
             # ICMP port-unreachable and friends: retryable like a timeout.
             raise Timeout(f"udp query to {host}:{port}: {exc}") from exc
+        raise Timeout(f"udp query to {host}:{port} timed out")
 
-    def _query_tcp(self, host: str, port: int, wire: bytes,
-                   timeout: float) -> bytes:
+    def _query_tcp(self, host: str, port: int, wire: bytes, timeout: float) -> bytes:
         try:
             with socket.create_connection((host, port), timeout=timeout) as sock:
-                sock.sendall(struct.pack(">H", len(wire)) + wire)
-                header = self._read_exact(sock, 2)
-                (length,) = struct.unpack(">H", header)
-                return self._read_exact(sock, length)
+                sock.sendall(len(wire).to_bytes(2, "big") + wire)
+                return recv_framed(sock)
         except socket.timeout as exc:
             raise Timeout(f"tcp query to {host}:{port} timed out") from exc
         except OSError as exc:
             raise TransportError(str(exc)) from exc
-
-    @staticmethod
-    def _read_exact(sock: socket.socket, count: int) -> bytes:
-        data = b""
-        while len(data) < count:
-            chunk = sock.recv(count - len(data))
-            if not chunk:
-                raise TransportError("tcp connection closed mid-message")
-            data += chunk
-        return data

@@ -370,7 +370,10 @@ def serialize_zone(zone: Zone) -> str:
     """Emit master-file text: SOA first, then records grouped by owner in
     canonical order."""
     lines = [f"$ORIGIN {zone.apex.to_text()}"]
-    soa = zone.soa_record
+    # A scan, not zone.soa_record, which would build the lookup tables.
+    soa = next((r for r in zone.records if r.rtype == RType.SOA and r.owner == zone.apex), None)
+    if soa is None:
+        raise MissingSoa(f"zone {zone.apex} has no SOA")
     lines.append(_format_record(soa, zone.apex))
     rest = [r for r in zone.records if r is not soa]
     rest.sort(key=lambda r: (r.owner.canonical_key(), r.rtype,

@@ -1,5 +1,6 @@
 import errno
 import random
+import threading
 
 import pytest
 
@@ -14,7 +15,7 @@ from dnsseclab.resolver import (Cache, CacheEntry, HopLimitExceeded,
 from dnsseclab.server import (AuthoritativeService, DnsServer,
                               answer_authoritative, encode_with_limit,
                               udp_limit_for)
-from dnsseclab.transport import SocketTransport, Timeout
+from dnsseclab.transport import SocketTransport, Timeout, Transport, TransportError
 from dnsseclab.validator import Denial, Security, check_denial, nsec_witnesses
 
 from dnsseclab.zonefile import parse_zone_file
@@ -326,6 +327,25 @@ def make_victim(net, dnssec=False, anchors=(), port_mode="fixed"):
                              clock=net.clock)
 
 
+class _TruncatingTransport(Transport):
+    """Answers every UDP query with TC set; the TCP retry fails."""
+
+    def new_txid(self) -> int:
+        return 7
+
+    def query(self, address, wire, tcp=False, timeout=2.0):
+        if tcp:
+            raise TransportError("connection refused")
+        query = decode_message(wire)
+        return encode_message(DnsMessage(id=query.id, flags=frozenset({"qr", "tc"}),
+                                         questions=list(query.questions)))
+
+
+def test_transport_error_on_tcp_retry_becomes_servfail():
+    resolver = RecursiveResolver([ROOT_ADDR], _TruncatingTransport())
+    assert resolver.resolve_name(WWW).rcode == Rcode.SERVFAIL
+
+
 def test_second_query_served_from_cache(signed_zone, parent_zone_signed):
     net = build_hierarchy(signed_zone, parent_zone_signed)
     resolver = make_victim(net)
@@ -473,6 +493,15 @@ def test_port_zero_rebinds_pair_when_tcp_port_is_taken(signed_zone, monkeypatch)
             assert decode_message(transport.query("127.0.0.1", wire, tcp=tcp_flag)).answers
     finally:
         server.shutdown()
+
+
+def test_shutdown_without_start_returns_and_closes_sockets(signed_zone):
+    server = DnsServer([signed_zone.zone], address="127.0.0.1", port=0)
+    thread = threading.Thread(target=server.shutdown, daemon=True)
+    thread.start()
+    thread.join(timeout=3)
+    assert not thread.is_alive()
+    assert server._udp.socket.fileno() == -1 and server._tcp.socket.fileno() == -1
 
 
 def test_socket_transport_timeout():
