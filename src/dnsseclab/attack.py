@@ -7,12 +7,13 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError
+from .config import ConfigError, _parse_bool, _parse_int
 from .keystore import TrustAnchor, load_trust_anchors
-from .message import DnsMessage, decode_message, encode_message
+from .message import DnsMessage, Question, decode_message, encode_message
 from .names import DnsName
 from .records import ARdata, NsRdata, ResourceRecord, RType
-from .netsim import InjectedPacket, PortPolicy, QueryEvent, SimNetwork, SimTransport
+from .netsim import (PORT_BASE, InjectedPacket, PortPolicy, QueryEvent, SimNetwork,
+                     SimTransport)
 from .resolver import Cache, RecursiveResolver, ResolverConfig
 from .server import AuthoritativeService
 from .zonefile import Zone, load_zone_file
@@ -32,7 +33,6 @@ class AttackConfig:
     forged_per_query: int = 100
     query_rounds: int = 50
     trials: int = 1
-    txid_space: int = TXID_SPACE
     port_mode: str = "fixed"
     port_space: int = 4096
     seed: int = 0
@@ -99,11 +99,10 @@ class AttackReport:
 
 
 def analytic_success_probability(n: int, q: int, port_mode: str = "fixed",
-                                 port_space: int = 4096,
-                                 txid_space: int = TXID_SPACE) -> float:
+                                 port_space: int = 4096) -> float:
     """Probability that at least one of q rounds lands a forged answer when
     each round makes n distinct guesses without replacement."""
-    space = txid_space if port_mode == "fixed" else txid_space * port_space
+    space = TXID_SPACE if port_mode == "fixed" else TXID_SPACE * port_space
     per_round = min(1.0, n / space)
     return 1.0 - (1.0 - per_round) ** q
 
@@ -135,7 +134,6 @@ class KaminskyAttacker:
         self.armed_qname = qname
 
     def forged_referral(self, qname: DnsName, qtype: int, txid: int) -> DnsMessage:
-        from .message import Question
         msg = DnsMessage(id=txid, flags=frozenset({"qr"}),
                          questions=[Question(qname, qtype)])
         msg.authority.append(ResourceRecord(self.cfg.target_zone, RType.NS, 1,
@@ -153,12 +151,11 @@ class KaminskyAttacker:
         packets = []
         if self.cfg.port_mode == "fixed":
             guesses = [(txid, self.victim_port_base)
-                       for txid in self.rng.sample(range(self.cfg.txid_space), n)]
+                       for txid in self.rng.sample(range(TXID_SPACE), n)]
         else:
-            space = self.cfg.txid_space * self.cfg.port_space
+            space = TXID_SPACE * self.cfg.port_space
             picks = self.rng.sample(range(space), min(n, space))
-            guesses = [(i % self.cfg.txid_space,
-                        self.victim_port_base + i // self.cfg.txid_space)
+            guesses = [(i % TXID_SPACE, self.victim_port_base + i // TXID_SPACE)
                        for i in picks]
         for txid, port in guesses:
             template[0:2] = txid.to_bytes(2, "big")
@@ -232,7 +229,7 @@ def build_lab(cfg: AttackConfig, zone: Zone,
                               anchors=tuple(anchors)),
         clock=network.clock)
     attacker_cls = KaminskyAttacker if cfg.mode == "kaminsky" else RaceSpoofAttacker
-    attacker = attacker_cls(cfg, random.Random(cfg.seed ^ 0xA77AC), ports.base)
+    attacker = attacker_cls(cfg, random.Random(cfg.seed ^ 0xA77AC), PORT_BASE)
     network.add_tap(attacker)
     return AttackLab(network, victim, attacker, cfg)
 
@@ -290,8 +287,7 @@ def run_attack(cfg: AttackConfig, victim: RecursiveResolver,
         successes=successes,
         empirical_rate=successes / cfg.trials,
         analytic_rate=analytic_success_probability(
-            cfg.forged_per_query, cfg.query_rounds, cfg.port_mode,
-            cfg.port_space, cfg.txid_space),
+            cfg.forged_per_query, cfg.query_rounds, cfg.port_mode, cfg.port_space),
         validation_enabled=cfg.validation,
         forged_accepted_post_validation=post_validation,
         forged_matcher_hits=network.forged_matcher_hits,
@@ -329,16 +325,20 @@ def parse_attack_config(text: str, base_dir: Path | str = ".") -> AttackConfig:
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown directives {sorted(unknown)}")
+
+    def number(key: str, default: str) -> int:
+        return _parse_int(values.get(key, default), key)
+
     return AttackConfig(
         mode=values.get("mode", "kaminsky"),
         target_zone=target,
-        forged_per_query=int(values.get("forged-per-query", "100")),
-        query_rounds=int(values.get("query-rounds", "50")),
-        trials=int(values.get("trials", "1")),
+        forged_per_query=number("forged-per-query", "100"),
+        query_rounds=number("query-rounds", "50"),
+        trials=number("trials", "1"),
         port_mode=values.get("port-mode", "fixed"),
-        port_space=int(values.get("port-space", "4096")),
-        seed=int(values.get("seed", "0")),
-        validation=values.get("validation", "no") == "yes",
+        port_space=number("port-space", "4096"),
+        seed=number("seed", "0"),
+        validation=_parse_bool(values.get("validation", "no"), "validation"),
         zone_file=base / values["zone-file"] if "zone-file" in values else None,
         trust_anchor_path=(base / values["trust-anchors"]
                            if "trust-anchors" in values else None),

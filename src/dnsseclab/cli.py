@@ -14,8 +14,8 @@ from pathlib import Path
 from . import attack as attack_mod
 from .config import ConfigError, load_root_hints, load_server_config
 from .keystore import (KeyRole, KeystoreError, algorithm_from_mnemonic,
-                       generate_key, load_trust_anchors, read_key_pair,
-                       write_key_files)
+                       algorithm_mnemonic, generate_key, load_trust_anchors,
+                       read_key_pair, write_key_files)
 from .message import (FLAG_ORDER, DnsMessage, Edns, Rcode, encode_message,
                       make_query, rcode_to_text)
 from .names import DnsName, NameError_
@@ -112,7 +112,6 @@ def cmd_signzone(args) -> int:
 
 
 def _algorithm_names(zsk, ksk) -> str:
-    from .keystore import algorithm_mnemonic
     names = {algorithm_mnemonic(k.algorithm) for k in (zsk, ksk)}
     return ", ".join(sorted(names))
 

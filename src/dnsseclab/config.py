@@ -6,6 +6,7 @@ Grammar: `key value` lines, `#` comments, and
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +45,6 @@ class ServerConfig:
     def default_anchor_path(self) -> Path:
         """trusted-key.key in the config directory, overridable through the
         DNSSECLAB_CONFIG_DIR environment variable."""
-        import os
         directory = os.environ.get("DNSSECLAB_CONFIG_DIR")
         base = Path(directory) if directory else self.base_dir
         return base / "trusted-key.key"
@@ -56,6 +56,13 @@ def _parse_bool(value: str, key: str) -> bool:
     if value == "no":
         return False
     raise ConfigError(f"{key} wants yes|no, got {value!r}")
+
+
+def _parse_int(value: str, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{key} wants an integer, got {value!r}") from None
 
 
 _ZONE_HEAD = re.compile(r'^zone\s+"([^"]+)"\s*\{(.*)$')
@@ -92,7 +99,7 @@ def parse_server_config(text: str, base_dir: Path | str = ".") -> ServerConfig:
         if key == "listen":
             config.listen = value
         elif key == "port":
-            config.port = int(value)
+            config.port = _parse_int(value, key)
         elif key == "recursion":
             config.recursion_enabled = _parse_bool(value, key)
         elif key == "dnssec-enable":

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from . import rsa
 from .names import DnsName
-from .records import DnskeyRdata, RType, timestamp_to_text
+from .records import (DnskeyRdata, ResourceRecord, RType, timestamp_from_text,
+                      timestamp_to_text)
 from .zonefile import ZoneError, parse_record_line
 
 PROTOCOL = 3
@@ -124,7 +125,6 @@ class KeyPair:
         return rsa.sign(self.private, data, ALGORITHMS[self.algorithm][1])
 
     def dnskey_record(self, ttl: int):
-        from .records import ResourceRecord
         return ResourceRecord(self.zone, RType.DNSKEY, 1, ttl, self.public)
 
 
@@ -226,7 +226,6 @@ def write_key_files(key: KeyPair, directory: Path | str) -> tuple[Path, Path]:
 
 
 def _parse_timestamp_field(fields: dict, name: str, fallback: int) -> int:
-    from .records import timestamp_from_text
     text = fields.get(name.lower())
     return timestamp_from_text(text) if text else fallback
 

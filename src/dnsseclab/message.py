@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 from .names import DnsName, OversizeName
-from .records import ResourceRecord, RType, rdata_from_wire
+from .records import RdataError, ResourceRecord, RType, rdata_from_wire, rtype_to_text
 from .wire import Truncated, read_exact, read_name
 
 FLAG_BITS = {
@@ -166,26 +166,28 @@ def encode_message(msg: DnsMessage) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _read_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
-    owner, offset = read_name(data, offset)
+    owner, offset = read_name(data, offset, len(data))
     rtype, rclass, ttl, rdlength = struct.unpack(
-        ">HHIH", read_exact(data, offset, 10, "record header"))
+        ">HHIH", read_exact(data, offset, len(data), 10, "record header"))
     offset += 10
-    rdata_bytes = read_exact(data, offset, rdlength, "rdata")
-    rdata = rdata_from_wire(rtype, rdata_bytes, data, offset)
-    return ResourceRecord(owner, rtype, rclass, ttl, rdata), offset + rdlength
+    end = offset + rdlength
+    if end > len(data):
+        raise Truncated(f"rdata: need {rdlength} octets at offset {offset}")
+    rdata, stop = rdata_from_wire(rtype, data, offset, end)
+    if stop != end:
+        raise RdataError(f"{end - stop} octets left over in {rtype_to_text(rtype)} rdata")
+    return ResourceRecord(owner, rtype, rclass, ttl, rdata), end
 
 
 def decode_message(data: bytes) -> DnsMessage:
-    if len(data) < 12:
-        raise Truncated("message shorter than the 12-octet header")
     msg_id, flags_word, qdcount, ancount, nscount, arcount = struct.unpack(
-        ">HHHHHH", data[:12])
+        ">HHHHHH", read_exact(data, 0, len(data), 12, "header"))
     flags = frozenset(f for f, bit in FLAG_BITS.items() if flags_word & bit)
     msg = DnsMessage(id=msg_id, flags=flags, rcode=flags_word & 0x0F)
     offset = 12
     for _ in range(qdcount):
-        name, offset = read_name(data, offset)
-        qtype, qclass = struct.unpack(">HH", read_exact(data, offset, 4, "question"))
+        name, offset = read_name(data, offset, len(data))
+        qtype, qclass = struct.unpack(">HH", read_exact(data, offset, len(data), 4, "question"))
         offset += 4
         msg.questions.append(Question(name, qtype, qclass))
     for count, section in ((ancount, msg.answers), (nscount, msg.authority),

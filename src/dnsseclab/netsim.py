@@ -47,11 +47,15 @@ class Tap(Protocol):
         ...
 
 
+#: Simulated time each query and each delivered packet take, in seconds.
+LATENCY = 0.01
+#: The fixed source port, and the lowest one a random draw can give.
+PORT_BASE = 32768
+
+
 class SimNetwork:
-    def __init__(self, seed: int = 0, latency: float = 0.01,
-                 start_time: float = 1_750_000_000.0):
+    def __init__(self, seed: int = 0, start_time: float = 1_750_000_000.0):
         self.rng = random.Random(seed)
-        self.latency = latency
         self.hosts: dict[str, Callable[[bytes, bool], bytes | None]] = {}
         self.taps: list[Tap] = []
         self.transactions = 0
@@ -76,19 +80,17 @@ class PortPolicy:
     """Source-port selection: `fixed` reuses one port (the Kaminsky-friendly
     regime); `random` draws from a bounded port space."""
 
-    def __init__(self, mode: str = "fixed", rng: random.Random | None = None,
-                 base: int = 32768, space: int = 4096):
+    def __init__(self, mode: str = "fixed", rng: random.Random | None = None, space: int = 4096):
         if mode not in ("fixed", "random"):
             raise ValueError(f"port mode {mode!r}")
         self.mode = mode
         self.rng = rng or random.Random(0)
-        self.base = base
         self.space = space
 
     def next_port(self) -> int:
         if self.mode == "fixed":
-            return self.base
-        return self.base + self.rng.randrange(self.space)
+            return PORT_BASE
+        return PORT_BASE + self.rng.randrange(self.space)
 
 
 class SimTransport(Transport):
@@ -109,7 +111,7 @@ class SimTransport(Transport):
         net = self.network
         handler = net.hosts.get(address)
         net.transactions += 1
-        net.advance(net.latency)
+        net.advance(LATENCY)
         txid = int.from_bytes(wire[:2], "big")
         question = decode_message(wire).question
         if tcp:
@@ -138,7 +140,7 @@ class SimTransport(Transport):
                 packets.append(InjectedPacket(address, src_port, reply,
                                               forged=False))
         for packet in packets:
-            net.advance(net.latency)
+            net.advance(LATENCY)
             if (packet.claimed_src == address and packet.dst_port == src_port
                     and reply_matches(packet.wire, txid, question)):
                 if packet.forged:

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .names import DnsName
-from .wire import Truncated, read_exact, read_name
+from .wire import read_exact, read_name
 
 
 class RType(IntEnum):
@@ -61,10 +61,6 @@ def _ip4_to_bytes(text: str) -> bytes:
     return bytes(int(p) for p in parts)
 
 
-def _bytes_to_ip4(data: bytes) -> str:
-    return ".".join(str(b) for b in data)
-
-
 def timestamp_to_text(epoch: int) -> str:
     """RRSIG time presentation: 14-digit UTC YYYYMMDDHHMMSS."""
     return datetime.fromtimestamp(epoch, timezone.utc).strftime("%Y%m%d%H%M%S")
@@ -101,15 +97,16 @@ def encode_type_bitmap(types: Iterable[int]) -> bytes:
 def decode_type_bitmap(data: bytes) -> frozenset[int]:
     types = set()
     pos = 0
+    last = -1
     while pos < len(data):
-        if pos + 2 > len(data):
-            raise Truncated("type bitmap window header")
-        window, length = data[pos], data[pos + 1]
+        window = data[pos]
+        length = data[pos + 1] if pos + 1 < len(data) else 0
         pos += 2
-        if length == 0 or length > 32 or pos + length > len(data):
-            raise RdataError("bad type bitmap window")
-        for i in range(length):
-            octet = data[pos + i]
+        if not (last < window and 0 < length <= 32 and pos + length <= len(data)
+                and data[pos + length - 1]):
+            raise RdataError("type bitmap window breaks RFC 4034 §4.1.2")
+        last = window
+        for i, octet in enumerate(data[pos : pos + length]):
             for bit in range(8):
                 if octet & (0x80 >> bit):
                     types.add((window << 8) | (i << 3) | bit)
@@ -145,10 +142,8 @@ class ARdata:
     canonical_wire = to_wire
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        if len(rdata) != 4:
-            raise RdataError("A rdata must be exactly 4 octets")
-        return cls(_bytes_to_ip4(rdata))
+    def from_wire(cls, msg, offset, end):
+        return cls(".".join(map(str, read_exact(msg, offset, end, 4, "A")))), offset + 4
 
     def to_text(self, origin=None) -> str:
         return self.address
@@ -170,9 +165,9 @@ class _SingleName:
         return self.target.canonical_wire()
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        name, _ = read_name(msg, offset)
-        return cls(name)
+    def from_wire(cls, msg, offset, end):
+        name, offset = read_name(msg, offset, end)
+        return cls(name), offset
 
     def to_text(self, origin=None) -> str:
         return self.target.relativize(origin) if origin else self.target.to_text()
@@ -213,11 +208,11 @@ class SoaRdata:
         return self.mname.canonical_wire() + self.rname.canonical_wire() + self._tail()
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        mname, offset = read_name(msg, offset)
-        rname, offset = read_name(msg, offset)
-        fields = struct.unpack(">IIIII", read_exact(msg, offset, 20, "SOA"))
-        return cls(mname, rname, *fields)
+    def from_wire(cls, msg, offset, end):
+        mname, offset = read_name(msg, offset, end)
+        rname, offset = read_name(msg, offset, end)
+        fields = struct.unpack(">IIIII", read_exact(msg, offset, end, 20, "SOA"))
+        return cls(mname, rname, *fields), offset + 20
 
     def to_text(self, origin=None) -> str:
         names = (self.mname.relativize(origin), self.rname.relativize(origin)) \
@@ -247,10 +242,10 @@ class MxRdata:
         return struct.pack(">H", self.preference) + self.exchange.canonical_wire()
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        (preference,) = struct.unpack(">H", read_exact(msg, offset, 2, "MX"))
-        exchange, _ = read_name(msg, offset + 2)
-        return cls(preference, exchange)
+    def from_wire(cls, msg, offset, end):
+        (preference,) = struct.unpack(">H", read_exact(msg, offset, end, 2, "MX"))
+        exchange, offset = read_name(msg, offset + 2, end)
+        return cls(preference, exchange), offset
 
     def to_text(self, origin=None) -> str:
         name = self.exchange.relativize(origin) if origin else self.exchange.to_text()
@@ -277,17 +272,13 @@ class TxtRdata:
     canonical_wire = to_wire
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
+    def from_wire(cls, msg, offset, end):
         strings = []
-        pos = 0
-        while pos < len(rdata):
-            length = rdata[pos]
-            chunk = rdata[pos + 1 : pos + 1 + length]
-            if len(chunk) != length:
-                raise Truncated("TXT string")
-            strings.append(chunk)
-            pos += 1 + length
-        return cls(tuple(strings))
+        while offset < end:
+            length = msg[offset]
+            strings.append(read_exact(msg, offset + 1, end, length, "TXT string"))
+            offset += 1 + length
+        return cls(tuple(strings)), offset
 
     def to_text(self, origin=None) -> str:
         return " ".join('"%s"' % s.decode("ascii", "replace").replace('"', '\\"')
@@ -319,9 +310,9 @@ class DnskeyRdata:
         return key_tag_from_rdata(self.to_wire())
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        flags, protocol, algorithm = struct.unpack(">HBB", read_exact(rdata, 0, 4, "DNSKEY"))
-        return cls(flags, protocol, algorithm, rdata[4:])
+    def from_wire(cls, msg, offset, end):
+        head = struct.unpack(">HBB", read_exact(msg, offset, end, 4, "DNSKEY"))
+        return cls(*head, msg[offset + 4 : end]), end
 
     def to_text(self, origin=None) -> str:
         b64 = base64.b64encode(self.public_key).decode("ascii")
@@ -365,11 +356,10 @@ class RrsigRdata:
         return self._head() + self.signer_name.canonical_wire()
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        head = struct.unpack(">HBBIIIH", read_exact(msg, offset, 18, "RRSIG"))
-        signer, end = read_name(msg, offset + 18)
-        signature = rdata[end - offset:]
-        return cls(*head, signer, signature)
+    def from_wire(cls, msg, offset, end):
+        head = struct.unpack(">HBBIIIH", read_exact(msg, offset, end, 18, "RRSIG"))
+        signer, offset = read_name(msg, offset + 18, end)
+        return cls(*head, signer, msg[offset:end]), end
 
     def to_text(self, origin=None) -> str:
         b64 = base64.b64encode(self.signature).decode("ascii")
@@ -402,9 +392,9 @@ class NsecRdata:
         return self.next_name.canonical_wire() + encode_type_bitmap(self.type_bitmap)
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        next_name, end = read_name(msg, offset)
-        return cls(next_name, decode_type_bitmap(rdata[end - offset:]))
+    def from_wire(cls, msg, offset, end):
+        next_name, offset = read_name(msg, offset, end)
+        return cls(next_name, decode_type_bitmap(msg[offset:end])), end
 
     def to_text(self, origin=None) -> str:
         name = self.next_name.relativize(origin) if origin else self.next_name.to_text()
@@ -432,9 +422,9 @@ class DsRdata:
     canonical_wire = to_wire
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        key_tag, algorithm, digest_type = struct.unpack(">HBB", read_exact(rdata, 0, 4, "DS"))
-        return cls(key_tag, algorithm, digest_type, rdata[4:])
+    def from_wire(cls, msg, offset, end):
+        head = struct.unpack(">HBB", read_exact(msg, offset, end, 4, "DS"))
+        return cls(*head, msg[offset + 4 : end]), end
 
     def to_text(self, origin=None) -> str:
         return f"{self.key_tag} {self.algorithm} {self.digest_type} {self.digest.hex().upper()}"
@@ -457,8 +447,8 @@ class OpaqueRdata:
     canonical_wire = to_wire
 
     @classmethod
-    def from_wire(cls, rdata, msg, offset):
-        return cls(rdata)
+    def from_wire(cls, msg, offset, end):
+        return cls(msg[offset:end]), end
 
     def to_text(self, origin=None) -> str:
         return f"\\# {len(self.data)} {self.data.hex()}" if self.data else "\\# 0"
@@ -478,11 +468,10 @@ RDATA_CLASSES = {
 }
 
 
-def rdata_from_wire(rtype: int, rdata: bytes, msg: bytes, offset: int):
-    cls = RDATA_CLASSES.get(rtype)
-    if cls is None:
-        return OpaqueRdata(rdata)
-    return cls.from_wire(rdata, msg, offset)
+def rdata_from_wire(rtype: int, msg: bytes, offset: int, end: int):
+    """Decode the `rtype` RDATA in `msg[offset:end]`; return it and the offset
+    where its decoder stopped, which is `end` for a well-formed record."""
+    return RDATA_CLASSES.get(rtype, OpaqueRdata).from_wire(msg, offset, end)
 
 
 def rdata_from_text(rtype: int, tokens: list[str], origin: DnsName | None):

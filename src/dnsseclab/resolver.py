@@ -164,7 +164,6 @@ class ResolverConfig:
     dnssec_enabled: bool = False
     anchors: tuple = ()
     hop_limit: int = 16
-    upstream_do: bool = True
 
 
 class RecursiveResolver:
@@ -229,7 +228,6 @@ class RecursiveResolver:
         referrals: list[DnsMessage] = []
         msg = resolve_iterative(
             qname, qtype, self._starting_servers(qname, now), self.transport,
-            do=self.config.upstream_do or self.config.dnssec_enabled,
             hop_limit=self.config.hop_limit,
             on_response=referrals.append)
         security = Security.INSECURE

@@ -38,7 +38,6 @@ class MissingDnskeyRecords(SignerError):
 class SigningPolicy:
     inception_skew: int = 3600
     validity: int = 30 * 86400
-    sign_dnskey_with_ksk: bool = True
     sign_dnskey_with_zsk: bool = True
     auto_insert_dnskeys: bool = True
 
@@ -188,8 +187,7 @@ def sign_zone(zone: Zone, zsk: KeyPair, ksk: KeyPair, policy: SigningPolicy,
         if not _is_signable(chained, rrset):
             continue
         if rrset.rtype == RType.DNSKEY:
-            if policy.sign_dnskey_with_ksk:
-                rrsigs.append(sign_rrset(rrset, ksk, policy, now))
+            rrsigs.append(sign_rrset(rrset, ksk, policy, now))
             if policy.sign_dnskey_with_zsk:
                 rrsigs.append(sign_rrset(rrset, zsk, policy, now))
         else:

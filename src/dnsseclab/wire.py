@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from .names import MAX_LABEL, MAX_NAME, DnsName
 
+#: A name has at most 127 labels; a longer pointer chain only slows decoding.
+MAX_POINTERS = MAX_NAME // 2
+
 
 class WireError(ValueError):
     pass
@@ -14,57 +17,60 @@ class Truncated(WireError):
 
 
 class BadPointer(WireError):
-    """A compression pointer points forward or its chain does not terminate."""
+    """A pointer is not backward, or a name follows over `MAX_POINTERS` of them."""
 
 
 class LabelTooLong(WireError):
     """A label length is invalid or the assembled name exceeds 255 octets."""
 
 
-def read_name(data: bytes, offset: int) -> tuple[DnsName, int]:
+def read_name(data: bytes, offset: int, end: int) -> tuple[DnsName, int]:
     """Read a possibly-compressed name starting at `offset`.
 
-    Returns the name and the offset just past its in-place encoding.
-    Pointers must target strictly earlier offsets, so chains terminate.
+    Returns the name and the offset just past its in-place encoding, which
+    must end by `end`; labels reached through a pointer may lie anywhere in
+    `data`. Pointers must target strictly earlier offsets, so chains terminate.
     """
     labels: list[bytes] = []
     total = 1
-    end = -1
+    pointers = 0
     pos = offset
     while True:
-        if pos >= len(data):
-            raise Truncated("name runs past end of message")
+        if pos >= end:
+            raise Truncated("name runs past the end of its field")
         length = data[pos]
         if length == 0:
             pos += 1
             break
         if length & 0xC0 == 0xC0:
-            if pos + 1 >= len(data):
-                raise Truncated("pointer runs past end of message")
+            if pos + 1 >= end:
+                raise Truncated("pointer runs past the end of its field")
             target = ((length & 0x3F) << 8) | data[pos + 1]
             if target >= pos:
                 raise BadPointer(f"pointer at {pos} targets {target} (not backward)")
-            if end < 0:
-                end = pos + 2
+            if pointers == MAX_POINTERS:
+                raise BadPointer(f"name follows more than {MAX_POINTERS} pointers")
+            if not pointers:
+                stop = pos + 2
+                end = len(data)
+            pointers += 1
             pos = target
             continue
         if length & 0xC0:
             raise LabelTooLong(f"reserved label type 0x{length:02x}")
         if length > MAX_LABEL:
             raise LabelTooLong(f"label of {length} octets")
-        if pos + 1 + length > len(data):
-            raise Truncated("label runs past end of message")
+        if pos + 1 + length > end:
+            raise Truncated("label runs past the end of its field")
         labels.append(data[pos + 1 : pos + 1 + length])
         total += length + 1
         if total > MAX_NAME:
             raise LabelTooLong("assembled name exceeds 255 octets")
         pos += 1 + length
-    if end < 0:
-        end = pos
-    return DnsName(labels), end
+    return DnsName(labels), stop if pointers else pos
 
 
-def read_exact(data: bytes, offset: int, count: int, what: str) -> bytes:
-    if offset + count > len(data):
+def read_exact(data: bytes, offset: int, end: int, count: int, what: str) -> bytes:
+    if offset + count > end:
         raise Truncated(f"{what}: need {count} octets at offset {offset}")
     return data[offset : offset + count]

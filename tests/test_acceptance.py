@@ -103,7 +103,7 @@ def _mutate_one_record(msg, rng) -> bool:
         return False
     wire[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
     try:
-        rdata = rdata_from_wire(record.rtype, bytes(wire), bytes(wire), 0)
+        rdata, _ = rdata_from_wire(record.rtype, bytes(wire), 0, len(wire))
     except ValueError:
         return False
     # canonicalization-invariant rewrites (ASCII case inside names) are not

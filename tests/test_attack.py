@@ -225,3 +225,12 @@ trust-anchors trusted-key.key
         parse_attack_config("mode kaminsky\n")  # missing target-zone
     with pytest.raises(ConfigError):
         parse_attack_config("target-zone x.\nbogus-key 1\n")
+
+
+@pytest.mark.parametrize("line, directive", [
+    ("validation true", "validation"),
+    ("query-rounds ten", "query-rounds"),
+])
+def test_attack_config_rejects_bad_values(line, directive):
+    with pytest.raises(ConfigError, match=directive):
+        parse_attack_config(f"target-zone x.\n{line}\n")

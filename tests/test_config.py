@@ -67,6 +67,11 @@ def test_config_rejects_bad_directives(line):
         parse_server_config(line)
 
 
+def test_config_rejects_non_numeric_port():
+    with pytest.raises(ConfigError, match="port"):
+        parse_server_config("port abc")
+
+
 def test_default_anchor_path_env_override(tmp_path, monkeypatch):
     config = parse_server_config("dnssec-enable yes", tmp_path)
     assert config.default_anchor_path() == tmp_path / "trusted-key.key"

@@ -2,15 +2,16 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnsseclab.message import (DnsMessage, Edns, Question, Rcode, TooManyRecords,
                                decode_message, encode_message, make_query)
 from dnsseclab.names import DnsName
-from dnsseclab.records import (ARdata, ResourceRecord, RrsigRdata, RType,
-                               OpaqueRdata)
-from dnsseclab.wire import BadPointer, LabelTooLong, Truncated
+from dnsseclab.records import (RDATA_CLASSES, ARdata, OpaqueRdata, RdataError,
+                               ResourceRecord, RrsigRdata, RType, SoaRdata)
+from dnsseclab.wire import MAX_POINTERS, BadPointer, LabelTooLong, Truncated, WireError
 
-from conftest import random_message
+from conftest import random_message, random_rdata
 
 APEX = DnsName.from_text("domaine.ma.")
 
@@ -144,3 +145,102 @@ def test_size_reporting_is_callers_concern():
     msg = DnsMessage(id=9, questions=[Question(APEX, RType.A)],
                      edns=Edns(udp_payload=4096))
     assert len(encode_message(msg)) < 4096
+
+
+# ---------------------------------------------------------------------------
+# Each RDATA is decoded inside its RDLENGTH
+# ---------------------------------------------------------------------------
+
+EXAMPLE = DnsName.from_text("example.")
+NS_WIRE = DnsName.from_text("ns.example.").to_wire()
+RRSIG_WIRE = RrsigRdata(RType.A, 5, 1, 60, 2, 1, 7, EXAMPLE, b"").to_wire()
+SOA_WIRE = SoaRdata(DnsName.from_text("ns.example."),
+                    DnsName.from_text("admin.example."), 1, 3600, 900, 604800, 60).to_wire()
+
+
+def one_answer(rtype: int, rdlength: int, tail: bytes) -> bytes:
+    """A reply whose one answer record, of type `rtype` at `example.`, has
+    RDLENGTH `rdlength` and is followed by `tail` (its RDATA and any more)."""
+    return (struct.pack(">HHHHHH", 1, 0x8000, 0, 1, 0, 0) + EXAMPLE.to_wire()
+            + struct.pack(">HHIH", rtype, 1, 60, rdlength) + tail)
+
+
+@pytest.mark.parametrize("wire", [
+    one_answer(RType.NS, 1, NS_WIRE),
+    one_answer(RType.RRSIG, 2, RRSIG_WIRE),
+    one_answer(RType.NS, len(NS_WIRE) + 2, NS_WIRE + b"\xde\xad"),
+    one_answer(RType.SOA, len(SOA_WIRE) - 1, SOA_WIRE),
+], ids=["ns-rdlength-1", "rrsig-rdlength-2", "ns-junk-inside", "soa-one-short"])
+def test_rdata_outside_its_rdlength_is_rejected(wire):
+    with pytest.raises((WireError, RdataError)):
+        decode_message(wire)
+
+
+UNKNOWN_TYPE = 99
+
+
+@settings(deadline=None)
+@given(st.sampled_from([*RDATA_CLASSES, UNKNOWN_TYPE]), st.integers(0, 2**32),
+       st.data())
+def test_rdata_decoder_consumes_exactly_rdlength(rtype, seed, data):
+    """Shifting a record's RDLENGTH either fails the decode with a typed error
+    or yields RDATA that re-encodes to exactly the new RDLENGTH octets."""
+    rng = random.Random(seed)
+    rdata = (random_rdata(rng, rtype) if rtype != UNKNOWN_TYPE
+             else OpaqueRdata(rng.randbytes(rng.randint(0, 20)))).to_wire()
+    rdlength = len(rdata) + data.draw(st.integers(-len(rdata), 3), label="shift")
+    pad = data.draw(st.binary(min_size=3, max_size=3), label="pad")
+    try:
+        msg = decode_message(one_answer(rtype, rdlength, rdata + pad))
+    except (WireError, RdataError):
+        return
+    assert len(msg.answers[0].rdata.to_wire()) == rdlength
+
+
+def pointer_chain_reply(pointers: int) -> bytes:
+    """A reply whose second record's owner follows `pointers` pointers: its
+    own, then a chain of backward pointers kept in the first record's RDATA,
+    which starts with the root label the chain ends at."""
+    start = 12 + 11  # after the header and the first record's root owner and fields
+
+    def pointer(i):
+        return struct.pack(">H", 0xC000 | (start + max(0, 2 * i - 1)))
+
+    chain = b"\x00" + b"".join(pointer(i) for i in range(pointers - 1))
+    return (struct.pack(">HHHHHH", 1, 0x8000, 0, 2, 0, 0)
+            + b"\x00" + struct.pack(">HHIH", UNKNOWN_TYPE, 1, 0, len(chain)) + chain
+            + pointer(pointers - 1) + struct.pack(">HHIH", RType.A, 1, 0, 4) + bytes(4))
+
+
+def test_pointer_chain_longer_than_any_name_is_rejected():
+    # Without the cap, a 64 KiB reply of owners that each end in one long
+    # chain took seconds to decode: time quadratic in the message size.
+    msg = decode_message(pointer_chain_reply(MAX_POINTERS))
+    assert msg.answers[1].owner == DnsName([])
+    with pytest.raises(BadPointer):
+        decode_message(pointer_chain_reply(MAX_POINTERS + 1))
+
+
+def test_mutated_wires_raise_only_typed_errors():
+    """Flipped, overwritten, inserted and deleted octets in 5 000 encoded
+    messages raise nothing but the wire and RDATA errors."""
+    rng = random.Random(11)
+    for _ in range(250):
+        original = encode_message(random_message(rng))
+        for _ in range(20):
+            wire = bytearray(original)
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(len(wire) + 1)
+                action = rng.randrange(4)
+                if action == 0 and pos < len(wire):
+                    wire[pos] ^= 1 << rng.randrange(8)
+                elif action == 1 and pos < len(wire):
+                    wire[pos] = rng.randrange(256)
+                elif action == 2:
+                    wire.insert(pos, rng.randrange(256))
+                else:
+                    del wire[pos:pos + rng.randint(1, 4)]
+            try:
+                decode_message(bytes(wire))
+            except (WireError, RdataError):
+                pass

@@ -73,6 +73,21 @@ def test_type_bitmap_known_encoding():
     assert decode_type_bitmap(wire) == frozenset({1, 15, 46, 47})
 
 
+@pytest.mark.parametrize("wire", [
+    b"\x00\x02\x40\x00",
+    b"\x00\x00",
+    b"\x01\x01\x40\x00\x01\x40",
+    b"\x00\x01\x40\x00\x01\x40",
+    b"\x00\x21" + bytes(32) + b"\x01",
+    b"\x00\x02\x40",
+    b"\x00\x01\x40\x01",
+], ids=["trailing-zero-octet", "empty-window", "descending", "repeated",
+        "over-32-octets", "window-cut-short", "header-cut-short"])
+def test_type_bitmap_rejects_what_the_encoder_never_writes(wire):
+    with pytest.raises(RdataError):
+        decode_type_bitmap(wire)
+
+
 # ---------------------------------------------------------------------------
 # Canonical RRset bytes
 # ---------------------------------------------------------------------------
@@ -108,7 +123,7 @@ def test_canonical_bytes_perturbation_changes_output():
         index = rng.randrange(len(wire))
         wire[index] ^= 0x01
         try:
-            mutated = rdata_from_wire(rtype, bytes(wire), bytes(wire), 0)
+            mutated, _ = rdata_from_wire(rtype, bytes(wire), 0, len(wire))
         except (RdataError, ValueError):
             continue
         mutated_set = RRset(APEX, rtype, 1, 3600, (mutated,))

@@ -131,7 +131,7 @@ def test_single_octet_flips_break_verification():
         mutated[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
         if bytes(mutated) == wire:
             continue
-        flipped = rdata_from_wire(RType.A, bytes(mutated), bytes(mutated), 0)
+        flipped, _ = rdata_from_wire(RType.A, bytes(mutated), 0, len(mutated))
         changed = RRset(APEX, RType.A, 1, 3600, (flipped,))
         assert verify_rrsig(changed, rrsig, zsk.public, FIXED_NOW) \
             is not SigCheck.VALID

@@ -333,7 +333,7 @@ def _mutate_message_records(msg, rng):
         return False
     wire[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
     try:
-        rdata = rdata_from_wire(record.rtype, bytes(wire), bytes(wire), 0)
+        rdata, _ = rdata_from_wire(record.rtype, bytes(wire), 0, len(wire))
     except ValueError:
         return False
     if rdata == record.rdata or rdata.canonical_wire() == record.rdata.canonical_wire():
