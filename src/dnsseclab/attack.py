@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, _parse_bool, _parse_int
@@ -12,8 +13,8 @@ from .keystore import TrustAnchor, load_trust_anchors
 from .message import DnsMessage, Question, decode_message, encode_message
 from .names import DnsName
 from .records import ARdata, NsRdata, ResourceRecord, RType
-from .netsim import (PORT_BASE, InjectedPacket, PortPolicy, QueryEvent, SimNetwork,
-                     SimTransport)
+from .netsim import (NO_GUESSES, PORT_BASE, GuessTable, PortPolicy, QueryEvent,
+                     SimNetwork, SimTransport)
 from .resolver import Cache, RecursiveResolver, ResolverConfig
 from .server import AuthoritativeService
 from .zonefile import Zone, load_zone_file
@@ -121,48 +122,39 @@ class KaminskyAttacker:
 
     on_path = False
 
-    def __init__(self, cfg: AttackConfig, rng: random.Random,
-                 victim_port_base: int):
+    def __init__(self, cfg: AttackConfig, rng: random.Random):
         self.cfg = cfg
         self.rng = rng
-        self.victim_port_base = victim_port_base
         self.armed_qname: DnsName | None = None
         self.evil_ns = DnsName.from_text("ns.evil.example.")
-        self.injected = 0
 
     def arm(self, qname: DnsName) -> None:
         self.armed_qname = qname
 
-    def forged_referral(self, qname: DnsName, qtype: int, txid: int) -> DnsMessage:
+    def forged_referral(self, qname: DnsName, qtype: int, txid: int) -> bytes:
+        """The wire of a referral that delegates the target zone to the
+        attacker's name server, answering (qname, qtype) with id `txid`."""
         msg = DnsMessage(id=txid, flags=frozenset({"qr"}),
                          questions=[Question(qname, qtype)])
         msg.authority.append(ResourceRecord(self.cfg.target_zone, RType.NS, 1,
                                             86400, NsRdata(self.evil_ns)))
         msg.additional.append(ResourceRecord(self.evil_ns, RType.A, 1, 86400,
                                              ARdata(ATTACKER_ADDRESS)))
-        return msg
+        return encode_message(msg)
 
-    def on_query(self, event: QueryEvent) -> list[InjectedPacket]:
+    def on_query(self, event: QueryEvent) -> GuessTable:
         if event.dst != AUTHORITY_ADDRESS or event.qname != self.armed_qname:
-            return []
+            return NO_GUESSES
         n = self.cfg.forged_per_query
-        template = bytearray(encode_message(
-            self.forged_referral(event.qname, event.qtype, 0)))
-        packets = []
         if self.cfg.port_mode == "fixed":
-            guesses = [(txid, self.victim_port_base)
-                       for txid in self.rng.sample(range(TXID_SPACE), n)]
+            positions = {(PORT_BASE, txid): i for i, txid
+                         in enumerate(self.rng.sample(range(TXID_SPACE), n))}
         else:
             space = TXID_SPACE * self.cfg.port_space
-            picks = self.rng.sample(range(space), min(n, space))
-            guesses = [(i % TXID_SPACE, self.victim_port_base + i // TXID_SPACE)
-                       for i in picks]
-        for txid, port in guesses:
-            template[0:2] = txid.to_bytes(2, "big")
-            packets.append(InjectedPacket(AUTHORITY_ADDRESS, port,
-                                          bytes(template)))
-        self.injected += len(packets)
-        return packets
+            positions = {(PORT_BASE + g // TXID_SPACE, g % TXID_SPACE): i for i, g
+                         in enumerate(self.rng.sample(range(space), min(n, space)))}
+        return GuessTable(AUTHORITY_ADDRESS, positions,
+                          partial(self.forged_referral, event.qname, event.qtype))
 
 
 class RaceSpoofAttacker(KaminskyAttacker):
@@ -171,15 +163,12 @@ class RaceSpoofAttacker(KaminskyAttacker):
 
     on_path = True
 
-    def on_query(self, event: QueryEvent) -> list[InjectedPacket]:
-        if event.dst != AUTHORITY_ADDRESS or event.qname != self.armed_qname:
-            return []
-        if self.cfg.forged_per_query < 1:
-            return []
-        forged = self.forged_referral(event.qname, event.qtype, event.txid)
-        self.injected += 1
-        return [InjectedPacket(AUTHORITY_ADDRESS, event.src_port,
-                               encode_message(forged))]
+    def on_query(self, event: QueryEvent) -> GuessTable:
+        if (event.dst != AUTHORITY_ADDRESS or event.qname != self.armed_qname
+                or self.cfg.forged_per_query < 1):
+            return NO_GUESSES
+        return GuessTable(AUTHORITY_ADDRESS, {(event.src_port, event.txid): 0},
+                          partial(self.forged_referral, event.qname, event.qtype))
 
 
 class EvilAuthority:
@@ -229,7 +218,7 @@ def build_lab(cfg: AttackConfig, zone: Zone,
                               anchors=tuple(anchors)),
         clock=network.clock)
     attacker_cls = KaminskyAttacker if cfg.mode == "kaminsky" else RaceSpoofAttacker
-    attacker = attacker_cls(cfg, random.Random(cfg.seed ^ 0xA77AC), PORT_BASE)
+    attacker = attacker_cls(cfg, random.Random(cfg.seed ^ 0xA77AC))
     network.add_tap(attacker)
     return AttackLab(network, victim, attacker, cfg)
 

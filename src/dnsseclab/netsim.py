@@ -1,20 +1,24 @@
 """Deterministic in-memory network with adversary taps.
 
-Queries deliver synchronously: taps inject forged packets first, the
-legitimate reply arrives last, and the querying socket accepts the first
-packet whose source and destination port match and that passes
-`transport.reply_matches` (transaction id and question), the same rule the
-real-socket transport applies. That models the exact race a cache-poisoning
-attacker exploits.
+Queries deliver synchronously. Each tap answers a query with a `GuessTable`
+of forged replies, sent in order before the legitimate reply, which arrives
+last. A forged reply can only be accepted if its claimed source, port and
+id are the query's, so the querying socket looks up its own (port, id) in
+each table instead of testing every packet, and builds only the forged
+wire it finds. That wire, like the legitimate reply, must still pass
+`transport.reply_matches` (transaction id and question), the rule the
+real-socket transport applies. Every packet up to and including the one
+accepted costs `LATENCY` on the clock, as if each had been tested in turn.
+That models the exact race a cache-poisoning attacker exploits.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Protocol
+from dataclasses import dataclass, field
+from typing import Callable, Protocol
 
-from .message import decode_message
+from .message import DnsMessage, decode_message
 from .names import DnsName
 from .transport import Timeout, Transport, TransportError, reply_matches
 
@@ -33,17 +37,29 @@ class QueryEvent:
     wire: bytes | None = None
 
 
-class InjectedPacket(NamedTuple):
-    claimed_src: str
-    dst_port: int
-    wire: bytes
-    forged: bool = True
+@dataclass(frozen=True)
+class GuessTable:
+    """The forged replies a tap sends against one query, all claiming to come
+    from `claimed_src`: `positions` maps each guessed (destination port,
+    transaction id) to its place in the order they are sent, and `forge`
+    builds the wire for one guessed id. Only a guess that lands is built.
+    `len()` is the number of forged packets."""
+    claimed_src: str = ""
+    positions: dict[tuple[int, int], int] = field(default_factory=dict)
+    forge: Callable[[int], bytes] | None = None
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
+#: What a tap that injects nothing returns.
+NO_GUESSES = GuessTable()
 
 
 class Tap(Protocol):
     on_path: bool
 
-    def on_query(self, event: QueryEvent) -> list[InjectedPacket]:
+    def on_query(self, event: QueryEvent) -> GuessTable:
         ...
 
 
@@ -107,7 +123,7 @@ class SimTransport(Transport):
         return self._txid_rng.randrange(65536)
 
     def query(self, address: str, wire: bytes, tcp: bool = False,
-              timeout: float = 2.0) -> bytes:
+              timeout: float = 2.0) -> tuple[DnsMessage, bytes]:
         net = self.network
         handler = net.hosts.get(address)
         net.transactions += 1
@@ -119,12 +135,13 @@ class SimTransport(Transport):
             reply = handler(wire, True) if handler else None
             if reply is None:
                 raise Timeout(f"{address} did not answer over tcp")
-            if not reply_matches(reply, txid, question):
+            msg = reply_matches(reply, txid, question)
+            if msg is None:
                 raise TransportError(f"tcp reply from {address} does not match the query")
-            return reply
+            return msg, reply
 
         src_port = self.ports.next_port()
-        packets: list[InjectedPacket] = []
+        tables = []
         for tap in net.taps:
             if tap.on_path:
                 event = QueryEvent(address, question.name, question.qtype,
@@ -133,17 +150,30 @@ class SimTransport(Transport):
             else:
                 event = QueryEvent(address, question.name, question.qtype,
                                    self.address)
-            packets.extend(tap.on_query(event))
-        if handler is not None:
-            reply = handler(wire, False)
-            if reply is not None:
-                packets.append(InjectedPacket(address, src_port, reply,
-                                              forged=False))
-        for packet in packets:
-            net.advance(LATENCY)
-            if (packet.claimed_src == address and packet.dst_port == src_port
-                    and reply_matches(packet.wire, txid, question)):
-                if packet.forged:
-                    net.forged_matcher_hits += 1
-                return packet.wire
+            tables.append(tap.on_query(event))
+        for table in tables:
+            position = (table.positions.get((src_port, txid))
+                        if table.claimed_src == address else None)
+            if position is None:
+                self._deliver(len(table))
+                continue
+            self._deliver(position + 1)
+            forged = table.forge(txid)
+            msg = reply_matches(forged, txid, question)
+            if msg is not None:
+                net.forged_matcher_hits += 1
+                return msg, forged
+            self._deliver(len(table) - position - 1)
+        reply = handler(wire, False) if handler else None
+        if reply is not None:
+            self._deliver(1)
+            msg = reply_matches(reply, txid, question)
+            if msg is not None:
+                return msg, reply
         raise Timeout(f"no matching answer from {address}")
+
+    def _deliver(self, packets: int) -> None:
+        """One `LATENCY` per packet, added one at a time: the float clock
+        then reads the same as when each packet is tested in turn."""
+        for _ in range(packets):
+            self.network.advance(LATENCY)

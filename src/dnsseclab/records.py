@@ -94,8 +94,13 @@ def encode_type_bitmap(types: Iterable[int]) -> bytes:
     return bytes(out)
 
 
+#: The set bits of each octet value, numbered from the most significant (0).
+_SET_BITS = tuple(tuple(bit for bit in range(8) if octet & (0x80 >> bit))
+                  for octet in range(256))
+
+
 def decode_type_bitmap(data: bytes) -> frozenset[int]:
-    types = set()
+    types = []
     pos = 0
     last = -1
     while pos < len(data):
@@ -106,10 +111,9 @@ def decode_type_bitmap(data: bytes) -> frozenset[int]:
                 and data[pos + length - 1]):
             raise RdataError("type bitmap window breaks RFC 4034 §4.1.2")
         last = window
-        for i, octet in enumerate(data[pos : pos + length]):
-            for bit in range(8):
-                if octet & (0x80 >> bit):
-                    types.add((window << 8) | (i << 3) | bit)
+        types += [(window << 8) | (i << 3) | bit
+                  for i, octet in enumerate(data[pos : pos + length])
+                  for bit in _SET_BITS[octet]]
         pos += length
     return frozenset(types)
 

@@ -1,5 +1,6 @@
 """Transport interface: real UDP/TCP sockets, or the simulated network.
-Both accept a reply only when it `reply_matches` the query."""
+Both accept a reply only when `reply_matches` the query, and return the
+message that the rule decoded together with its wire."""
 
 from __future__ import annotations
 
@@ -19,17 +20,21 @@ class Timeout(TransportError):
     pass
 
 
-def reply_matches(reply: bytes, txid: int, question: Question) -> bool:
-    """Same id, then (decoded only then) same qname in any case and qtype:
-    RFC 5452 §9.1, less the source check that each transport makes itself."""
+def reply_matches(reply: bytes, txid: int, question: Question) -> DnsMessage | None:
+    """The decoded reply if it has the same id, then (decoded only then) the
+    same qname in any case and qtype, else None: RFC 5452 §9.1, less the
+    source check that each transport makes itself."""
     if len(reply) < 12 or int.from_bytes(reply[:2], "big") != txid:
-        return False
+        return None
     try:
-        answer_q = decode_message(reply).question
+        msg = decode_message(reply)
     except ValueError:
-        return False
-    return (answer_q is not None
-            and (answer_q.name, answer_q.qtype) == (question.name, question.qtype))
+        return None
+    answer_q = msg.question
+    if (answer_q is None
+            or (answer_q.name, answer_q.qtype) != (question.name, question.qtype)):
+        return None
+    return msg
 
 
 def recv_framed(sock: socket.socket) -> bytes:
@@ -48,10 +53,11 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 class Transport:
-    """Sends one query wire to a server address and returns the reply wire."""
+    """Sends one query wire to a server address and returns the accepted
+    reply, decoded, with its wire."""
 
     def query(self, address: str, wire: bytes, tcp: bool = False,
-              timeout: float = 2.0) -> bytes:
+              timeout: float = 2.0) -> tuple[DnsMessage, bytes]:
         raise NotImplementedError
 
     def new_txid(self) -> int:
@@ -59,9 +65,8 @@ class Transport:
 
     def exchange(self, address: str, wire: bytes,
                  tcp: bool = False) -> tuple[DnsMessage, bytes]:
-        """The decoded reply and its wire; a truncated UDP reply is asked again over TCP."""
-        reply = self.query(address, wire, tcp=tcp)
-        msg = decode_message(reply)
+        """`query`, with a truncated UDP reply asked again over TCP."""
+        msg, reply = self.query(address, wire, tcp=tcp)
         if "tc" in msg.flags and not tcp:
             return self.exchange(address, wire, tcp=True)
         return msg, reply
@@ -96,16 +101,17 @@ class SocketTransport(Transport):
         return address, self.port
 
     def query(self, address: str, wire: bytes, tcp: bool = False,
-              timeout: float | None = None) -> bytes:
+              timeout: float | None = None) -> tuple[DnsMessage, bytes]:
         host, port = self._split(address)
         timeout = self.timeout if timeout is None else timeout
         query = decode_message(wire)
         if not tcp:
             return self._query_udp(host, port, wire, query, timeout)
         reply = self._query_tcp(host, port, wire, timeout)
-        if not reply_matches(reply, query.id, query.question):
+        msg = reply_matches(reply, query.id, query.question)
+        if msg is None:
             raise TransportError(f"tcp reply from {host}:{port} does not match the query")
-        return reply
+        return msg, reply
 
     def close(self) -> None:
         with self._lock:
@@ -114,7 +120,7 @@ class SocketTransport(Transport):
                 self._fixed_sock = None
 
     def _query_udp(self, host: str, port: int, wire: bytes,
-                   query: DnsMessage, timeout: float) -> bytes:
+                   query: DnsMessage, timeout: float) -> tuple[DnsMessage, bytes]:
         if self.source_port == "fixed":
             with self._lock:
                 if self._fixed_sock is None:
@@ -128,16 +134,17 @@ class SocketTransport(Transport):
 
     @staticmethod
     def _exchange(sock: socket.socket, host: str, port: int, wire: bytes,
-                  query: DnsMessage, timeout: float) -> bytes:
+                  query: DnsMessage, timeout: float) -> tuple[DnsMessage, bytes]:
         deadline = time.monotonic() + timeout  # stray datagrams do not extend it
         try:
             sock.sendto(wire, (host, port))
             while (remaining := deadline - time.monotonic()) > 0:
                 sock.settimeout(remaining)
                 data, sender = sock.recvfrom(65535)
-                if (sender[0] == host and sender[1] == port
-                        and reply_matches(data, query.id, query.question)):
-                    return data
+                if sender[0] == host and sender[1] == port:
+                    msg = reply_matches(data, query.id, query.question)
+                    if msg is not None:
+                        return msg, data
         except socket.timeout:
             pass
         except OSError as exc:

@@ -173,11 +173,11 @@ def test_kaminsky_blocked_by_validation(signed_zone, ksk):
 def test_attacker_mode_placement_guard(signed_zone):
     cfg = kaminsky_cfg(trials=1)
     lab = build_lab(cfg, signed_zone.zone)
-    on_path_attacker = RaceSpoofAttacker(cfg, lab.attacker.rng, 32768)
+    on_path_attacker = RaceSpoofAttacker(cfg, lab.attacker.rng)
     with pytest.raises(ConfigError):
         run_attack(cfg, lab.victim, lab.network, on_path_attacker)
     race = race_cfg()
-    off_path = KaminskyAttacker(race, lab.attacker.rng, 32768)
+    off_path = KaminskyAttacker(race, lab.attacker.rng)
     with pytest.raises(ConfigError):
         run_attack(race, lab.victim, lab.network, off_path)
 

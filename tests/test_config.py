@@ -175,10 +175,10 @@ def test_server_reload_swaps_zones(signed_zone, fixture_zone):
     try:
         transport = SocketTransport(port=server.port)
         query = encode_message(make_query(APEX, RType.A, id=5))
-        first = decode_message(transport.query("127.0.0.1", query))
+        first = transport.query("127.0.0.1", query)[0]
         assert first.answers[0].rdata.address == "192.168.1.3"
         server.reload([other])
-        second = decode_message(transport.query("127.0.0.1", query))
+        second = transport.query("127.0.0.1", query)[0]
         assert second.answers[0].rdata.address == "172.16.0.1"
     finally:
         server.shutdown()

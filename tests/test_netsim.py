@@ -1,0 +1,155 @@
+"""`SimTransport.query` looks the query's own (port, id) up in each tap's
+guess table instead of testing every forged packet. It must accept the same
+wire, at the same simulated time, as a scan that tests every packet in the
+order sent, kept here as the reference."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dnsseclab.message import DnsMessage, Question, decode_message, encode_message, make_query
+from dnsseclab.names import DnsName
+from dnsseclab.netsim import (LATENCY, PORT_BASE, GuessTable, PortPolicy, QueryEvent,
+                              SimNetwork, SimTransport)
+from dnsseclab.records import ARdata, ResourceRecord, RType
+from dnsseclab.transport import Timeout, reply_matches
+
+WWW = DnsName.from_text("www.domaine.ma.")
+EVIL = DnsName.from_text("evil.domaine.ma.")
+SERVER = "198.51.100.53"
+ELSEWHERE = "203.0.113.66"
+VICTIM = "192.0.2.10"
+#: Ports and ids are drawn from this few values, so guesses often land.
+SPACE = 4
+
+
+def _wire(txid: int, name: DnsName, address: str) -> bytes:
+    msg = DnsMessage(id=txid, flags=frozenset({"qr"}), questions=[Question(name, RType.A)])
+    msg.answers.append(ResourceRecord(name, RType.A, 1, 60, ARdata(address)))
+    return encode_message(msg)
+
+
+class ScriptedTap:
+    """Sends the same guesses against every query; each forged wire answers
+    `name` with `address`, so the accepted wire tells which tap won."""
+
+    def __init__(self, on_path, claimed_src, guesses, name, address):
+        self.on_path = on_path
+        self.claimed_src = claimed_src
+        self.guesses = guesses
+        self.name = name
+        self.address = address
+        self.events = []
+        self.forged = 0
+
+    def forge(self, txid: int) -> bytes:
+        self.forged += 1
+        return _wire(txid, self.name, self.address)
+
+    def on_query(self, event: QueryEvent) -> GuessTable:
+        self.events.append(event)
+        return GuessTable(self.claimed_src,
+                          {guess: i for i, guess in enumerate(self.guesses)}, self.forge)
+
+
+def linear_query(transport: SimTransport, address: str, wire: bytes) -> bytes:
+    """The packet-by-packet scan: every guess of every table becomes one
+    packet, in the order sent, and the legitimate reply comes last; each
+    packet tested takes one LATENCY and the first that passes wins."""
+    net = transport.network
+    handler = net.hosts.get(address)
+    net.transactions += 1
+    net.advance(LATENCY)
+    txid = int.from_bytes(wire[:2], "big")
+    question = decode_message(wire).question
+    src_port = transport.ports.next_port()
+    packets = []
+    for tap in net.taps:
+        if tap.on_path:
+            event = QueryEvent(address, question.name, question.qtype, transport.address,
+                               txid=txid, src_port=src_port, wire=wire)
+        else:
+            event = QueryEvent(address, question.name, question.qtype, transport.address)
+        table = tap.on_query(event)
+        for (port, guess), _ in sorted(table.positions.items(), key=lambda item: item[1]):
+            packets.append((table.claimed_src, port, table.forge(guess), True))
+    reply = handler(wire, False) if handler else None
+    if reply is not None:
+        packets.append((address, src_port, reply, False))
+    for claimed_src, port, packet, forged in packets:
+        net.advance(LATENCY)
+        if (claimed_src == address and port == src_port
+                and reply_matches(packet, txid, question) is not None):
+            net.forged_matcher_hits += forged
+            return packet
+    raise Timeout(f"no matching answer from {address}")
+
+
+def _world(seed, port_mode, taps, reply):
+    net = SimNetwork(seed=seed)
+    if reply != "missing":
+        def handler(wire, via_tcp):
+            query = decode_message(wire)
+            if reply == "silent":
+                return None
+            txid = query.id if reply == "match" else (query.id + 1) % SPACE
+            return _wire(txid, WWW, "192.0.2.1")
+        net.register(SERVER, handler)
+    for i, (on_path, claimed_src, guesses, wrong_name) in enumerate(taps):
+        net.add_tap(ScriptedTap(on_path, claimed_src, guesses,
+                                EVIL if wrong_name else WWW, f"10.0.0.{i}"))
+    ports = PortPolicy(port_mode, rng=random.Random(seed + 1), space=SPACE)
+    return net, SimTransport(net, VICTIM, ports)
+
+
+def table_query(transport: SimTransport, address: str, wire: bytes) -> bytes:
+    msg, accepted = transport.query(address, wire)
+    assert msg == decode_message(accepted)
+    return accepted
+
+
+def _outcome(query, transport, wire):
+    try:
+        accepted = query(transport, SERVER, wire)
+    except Timeout:
+        accepted = None
+    net = transport.network
+    return (accepted, repr(net.clock()), net.forged_matcher_hits, net.transactions,
+            [tap.events for tap in net.taps])
+
+
+taps = st.lists(st.tuples(
+    st.booleans(),
+    st.sampled_from([SERVER, ELSEWHERE]),
+    st.lists(st.tuples(st.integers(PORT_BASE, PORT_BASE + SPACE - 1),
+                       st.integers(0, SPACE - 1)), unique=True, max_size=16),
+    st.booleans()), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), port_mode=st.sampled_from(["fixed", "random"]),
+       taps=taps, reply=st.sampled_from(["match", "mismatch", "silent", "missing"]),
+       txids=st.lists(st.integers(0, SPACE - 1), min_size=1, max_size=3))
+def test_guess_table_lookup_matches_the_packet_scan(seed, port_mode, taps, reply, txids):
+    table_world = _world(seed, port_mode, taps, reply)
+    scan_world = _world(seed, port_mode, taps, reply)
+    for txid in txids:
+        wire = encode_message(make_query(WWW, RType.A, id=txid))
+        by_table = _outcome(table_query, table_world[1], wire)
+        by_scan = _outcome(linear_query, scan_world[1], wire)
+        assert by_table == by_scan
+
+
+def test_forged_wire_with_the_right_id_and_wrong_qname_is_refused():
+    """The guess at the query's (port, id) lands, but its question names
+    another owner: the match rule runs on the built wire and refuses it."""
+    guesses = [(PORT_BASE, txid) for txid in range(SPACE)]
+    wire = encode_message(make_query(WWW, RType.A, id=2))
+    net, transport = _world(0, "fixed", [(False, SERVER, guesses, True)], "match")
+    msg, accepted = transport.query(SERVER, wire)
+    assert msg.answers[0].rdata.address == "192.0.2.1"
+    assert net.taps[0].forged == 1 and net.forged_matcher_hits == 0
+    scan_net, scan = _world(0, "fixed", [(False, SERVER, guesses, True)], "match")
+    assert linear_query(scan, SERVER, wire) == accepted
+    assert repr(net.clock()) == repr(scan_net.clock())

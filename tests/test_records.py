@@ -88,6 +88,15 @@ def test_type_bitmap_rejects_what_the_encoder_never_writes(wire):
         decode_type_bitmap(wire)
 
 
+@pytest.mark.parametrize("window", [0, 1])
+def test_type_bitmap_every_one_octet_window_agrees_with_the_encoder(window):
+    for octet in range(1, 256):
+        wire = bytes((window, 1, octet))
+        types = decode_type_bitmap(wire)
+        assert types == {(window << 8) | bit for bit in range(8) if octet & (0x80 >> bit)}
+        assert encode_type_bitmap(types) == wire
+
+
 # ---------------------------------------------------------------------------
 # Canonical RRset bytes
 # ---------------------------------------------------------------------------

@@ -337,8 +337,9 @@ class _TruncatingTransport(Transport):
         if tcp:
             raise TransportError("connection refused")
         query = decode_message(wire)
-        return encode_message(DnsMessage(id=query.id, flags=frozenset({"qr", "tc"}),
-                                         questions=list(query.questions)))
+        reply = DnsMessage(id=query.id, flags=frozenset({"qr", "tc"}),
+                           questions=list(query.questions))
+        return reply, encode_message(reply)
 
 
 def test_transport_error_on_tcp_retry_becomes_servfail():
@@ -452,12 +453,11 @@ def test_real_udp_tcp_server(signed_zone):
     try:
         transport = SocketTransport(port=server.port)
         query = make_query(APEX, RType.A, id=99, edns=Edns(do=True))
-        reply = decode_message(transport.query("127.0.0.1", encode_message(query)))
+        reply = transport.query("127.0.0.1", encode_message(query))[0]
         assert reply.id == 99 and {"qr", "aa"} <= reply.flags
         assert any(r.rtype == RType.RRSIG for r in reply.answers)
         # TCP path answers the same question
-        tcp_reply = decode_message(
-            transport.query("127.0.0.1", encode_message(query), tcp=True))
+        tcp_reply = transport.query("127.0.0.1", encode_message(query), tcp=True)[0]
         assert tcp_reply.answers
     finally:
         server.shutdown()
@@ -490,7 +490,7 @@ def test_port_zero_rebinds_pair_when_tcp_port_is_taken(signed_zone, monkeypatch)
         transport = SocketTransport(port=server.port)
         wire = encode_message(make_query(APEX, RType.A, id=5))
         for tcp_flag in (False, True):
-            assert decode_message(transport.query("127.0.0.1", wire, tcp=tcp_flag)).answers
+            assert transport.query("127.0.0.1", wire, tcp=tcp_flag)[0].answers
     finally:
         server.shutdown()
 

@@ -10,6 +10,15 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
+from dnsseclab.attack import AUTHORITY_ADDRESS, VICTIM_ADDRESS, AttackConfig, build_lab
+from dnsseclab.names import DnsName
+from dnsseclab.netsim import QueryEvent
+from dnsseclab.records import RType
+
+from conftest import APEX
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import metrics  # noqa: E402
@@ -35,3 +44,16 @@ def test_reported_spans_name_wrapped_functions():
         module = importlib.import_module(f"dnsseclab.{layer}")
         fn = vars(module).get(attr)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, span
+
+
+@pytest.mark.parametrize("port_mode", ["fixed", "random"])
+def test_on_query_length_counts_the_forged_packets(fixture_zone, port_mode):
+    """The tracer's `netsim.injected_packets` adds up `len()` of what
+    `KaminskyAttacker.on_query` returns."""
+    cfg = AttackConfig(mode="kaminsky", target_zone=APEX, port_mode=port_mode)
+    attacker = build_lab(cfg, fixture_zone).attacker
+    qname = DnsName.from_text("r0-0.domaine.ma.")
+    event = QueryEvent(AUTHORITY_ADDRESS, qname, RType.A, VICTIM_ADDRESS)
+    assert len(attacker.on_query(event)) == 0
+    attacker.arm(qname)
+    assert len(attacker.on_query(event)) == cfg.forged_per_query
