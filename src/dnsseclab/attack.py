@@ -11,7 +11,7 @@ from pathlib import Path
 from .config import ConfigError, _parse_bool, _parse_int
 from .keystore import TrustAnchor, load_trust_anchors
 from .message import DnsMessage, Question, decode_message, encode_message
-from .names import DnsName
+from .names import ROOT, DnsName
 from .records import ARdata, NsRdata, ResourceRecord, RType
 from .netsim import (NO_GUESSES, PORT_BASE, GuessTable, PortPolicy, QueryEvent,
                      SimNetwork, SimTransport)
@@ -303,9 +303,7 @@ def parse_attack_config(text: str, base_dir: Path | str = ".") -> AttackConfig:
             raise ConfigError(f"directive {key!r} needs a value")
         values[key] = value
     try:
-        target = DnsName.from_text(values["target-zone"]
-                                   if values["target-zone"].endswith(".")
-                                   else values["target-zone"] + ".")
+        target = DnsName.from_text(values["target-zone"], ROOT)
     except KeyError:
         raise ConfigError("attack config needs target-zone") from None
     known = {"mode", "target-zone", "forged-per-query", "query-rounds",

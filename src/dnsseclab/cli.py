@@ -16,9 +16,8 @@ from .config import ConfigError, load_root_hints, load_server_config
 from .keystore import (KeyRole, KeystoreError, algorithm_from_mnemonic,
                        algorithm_mnemonic, generate_key, load_trust_anchors,
                        read_key_pair, write_key_files)
-from .message import (FLAG_ORDER, DnsMessage, Edns, Rcode, encode_message,
-                      make_query, rcode_to_text)
-from .names import DnsName, NameError_
+from .message import FLAG_ORDER, DnsMessage, Edns, Rcode, make_query, rcode_to_text
+from .names import ROOT, DnsName, NameError_
 from .records import RType, rtype_from_text, rtype_to_text
 from .resolver import Cache, RecursiveResolver, ResolverConfig
 from .server import DnsServer, GatewayService
@@ -49,8 +48,7 @@ def cmd_keygen(args) -> int:
     try:
         algorithm = (int(args.algorithm) if args.algorithm.isdigit()
                      else algorithm_from_mnemonic(args.algorithm))
-        zone = DnsName.from_text(args.zone if args.zone.endswith(".")
-                                 else args.zone + ".")
+        zone = DnsName.from_text(args.zone, ROOT)
         role = KeyRole.KSK if args.ksk else KeyRole.ZSK
         key = generate_key(zone, role, algorithm=algorithm, bits=args.bits,
                            rng=args.seed)
@@ -72,8 +70,7 @@ def cmd_signzone(args) -> int:
         for extension in (".signed", ".db", ".zone"):
             origin_text = origin_text.removesuffix(extension)
     try:
-        origin = DnsName.from_text(origin_text if origin_text.endswith(".")
-                                   else origin_text + ".")
+        origin = DnsName.from_text(origin_text, ROOT)
         zone = load_zone_file(zone_path, origin)
         ksk = read_key_pair(Path(args.ksk))
         zsk = read_key_pair(Path(args.zsk))
@@ -187,17 +184,16 @@ def _parse_dig_tokens(tokens: list[str]):
 def cmd_dig(args) -> int:
     server, name, qtype, dnssec, recurse, tcp = _parse_dig_tokens(args.tokens)
     try:
-        qname = DnsName.from_text(name if name.endswith(".") else name + ".")
+        qname = DnsName.from_text(name, ROOT)
     except NameError_ as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     transport = SocketTransport(port=args.port)
     edns = Edns(do=True, udp_payload=4096) if dnssec else None
     query = make_query(qname, qtype, id=transport.new_txid(), rd=recurse,
                        edns=edns)
-    wire = encode_message(query)
     print(f"; <<>> dnsseclab dig <<>> {' '.join(args.tokens)}")
     try:
-        reply, reply_wire = transport.exchange(server, wire, tcp=tcp)
+        reply, reply_wire = transport.exchange(server, query, tcp=tcp)
     except TransportError as exc:
         print(";; Got no answer:")
         print(f";; transport failure: {exc}")

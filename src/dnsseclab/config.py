@@ -141,8 +141,7 @@ def _parse_zone_block(name: str, body: list[str], base: Path) -> ZoneConfig:
             raise ConfigError(f"zone {name!r}: unknown statement {key!r}")
     if role is None or file_path is None:
         raise ConfigError(f"zone {name!r}: needs both type and file")
-    return ZoneConfig(DnsName.from_text(name if name.endswith(".") else name + "."),
-                      role, file_path)
+    return ZoneConfig(DnsName.from_text(name, ROOT), role, file_path)
 
 
 def load_server_config(path: Path | str) -> ServerConfig:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .names import DnsName, OversizeName
@@ -75,10 +75,6 @@ class DnsMessage:
             raise ValueError(f"unknown flags {sorted(unknown)}")
 
     @property
-    def is_response(self) -> bool:
-        return "qr" in self.flags
-
-    @property
     def question(self) -> Question | None:
         return self.questions[0] if self.questions else None
 
@@ -86,17 +82,14 @@ class DnsMessage:
     def do_bit(self) -> bool:
         return bool(self.edns and self.edns.do)
 
-    def with_flags(self, *extra: str, drop: tuple[str, ...] = ()) -> "DnsMessage":
-        return replace(self, flags=(self.flags | set(extra)) - set(drop))
-
     def section_records(self):
         """(section name, records) for the three record sections."""
         return (("answer", self.answers), ("authority", self.authority),
                 ("additional", self.additional))
 
-    def records_of(self, owner, rtype, section: str = "answer") -> list:
-        records = dict(self.section_records())[section]
-        return [r for r in records if r.owner == owner and r.rtype == rtype]
+    def records_of(self, owner, rtype) -> list:
+        """The answer records with this owner and type."""
+        return [r for r in self.answers if r.owner == owner and r.rtype == rtype]
 
 
 def make_query(name: DnsName, qtype: int, *, id: int = 0, rd: bool = False,

@@ -108,9 +108,6 @@ class DnsName:
             return ".".join(l.decode("ascii", "replace") for l in kept)
         return self.to_text()
 
-    def concatenated(self, suffix: "DnsName") -> "DnsName":
-        return DnsName(self.labels + suffix.labels)
-
     # -- ordering --------------------------------------------------------
 
     def canonical_key(self) -> tuple:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .message import DnsMessage, decode_message
+from .message import DnsMessage, encode_message
 from .names import DnsName
 from .transport import Timeout, Transport, TransportError, reply_matches
 
@@ -122,14 +122,14 @@ class SimTransport(Transport):
     def new_txid(self) -> int:
         return self._txid_rng.randrange(65536)
 
-    def query(self, address: str, wire: bytes, tcp: bool = False,
-              timeout: float = 2.0) -> tuple[DnsMessage, bytes]:
+    def query(self, address: str, query: DnsMessage,
+              tcp: bool = False) -> tuple[DnsMessage, bytes]:
         net = self.network
         handler = net.hosts.get(address)
         net.transactions += 1
         net.advance(LATENCY)
-        txid = int.from_bytes(wire[:2], "big")
-        question = decode_message(wire).question
+        wire = encode_message(query)
+        txid, question = query.id, query.question
         if tcp:
             # Connection-oriented; off-path injection does not apply.
             reply = handler(wire, True) if handler else None

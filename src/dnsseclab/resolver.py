@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import RootHints
-from .message import DnsMessage, Edns, Rcode, encode_message, make_query
+from .message import DnsMessage, Edns, Rcode, make_query
 from .names import DnsName
 from .records import ResourceRecord, RRset, RType, group_rrsets
 from .transport import Timeout, Transport, TransportError
@@ -125,7 +125,7 @@ def _referral_targets(msg: DnsMessage) -> list[str]:
 
 
 def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
-                      transport: Transport, *, do: bool = True,
+                      transport: Transport, *,
                       hop_limit: int = 16, udp_payload: int = 4096,
                       on_response: Callable[[DnsMessage], None] | None = None,
                       ) -> DnsMessage:
@@ -137,11 +137,10 @@ def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
         if not candidates:
             raise ServFail(f"no reachable server for {qname}")
         query = make_query(qname, qtype, id=transport.new_txid(),
-                           edns=Edns(do=do, udp_payload=udp_payload))
-        wire = encode_message(query)
+                           edns=Edns(do=True, udp_payload=udp_payload))
         for address in candidates:
             try:
-                msg, _ = transport.exchange(address, wire)
+                msg, _ = transport.exchange(address, query)
                 break
             except Timeout:
                 continue
@@ -255,7 +254,7 @@ class RecursiveResolver:
             if key not in memo:
                 memo[key] = resolve_iterative(
                     name, rtype, self.hint_addresses, self.transport,
-                    do=True, hop_limit=self.config.hop_limit)
+                    hop_limit=self.config.hop_limit)
             return memo[key]
 
         return fetch

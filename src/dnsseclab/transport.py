@@ -1,6 +1,7 @@
 """Transport interface: real UDP/TCP sockets, or the simulated network.
-Both accept a reply only when `reply_matches` the query, and return the
-message that the rule decoded together with its wire."""
+Both take the query message, encode it for each send and never decode it;
+they accept a reply only when `reply_matches` the query's id and question,
+and return the message that the rule decoded together with its wire."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import socket
 import threading
 import time
 
-from .message import DnsMessage, Question, decode_message
+from .message import DnsMessage, Question, decode_message, encode_message
 
 
 class TransportError(Exception):
@@ -53,22 +54,22 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 class Transport:
-    """Sends one query wire to a server address and returns the accepted
+    """Sends one query message to a server address and returns the accepted
     reply, decoded, with its wire."""
 
-    def query(self, address: str, wire: bytes, tcp: bool = False,
-              timeout: float = 2.0) -> tuple[DnsMessage, bytes]:
+    def query(self, address: str, query: DnsMessage,
+              tcp: bool = False) -> tuple[DnsMessage, bytes]:
         raise NotImplementedError
 
     def new_txid(self) -> int:
         raise NotImplementedError
 
-    def exchange(self, address: str, wire: bytes,
+    def exchange(self, address: str, query: DnsMessage,
                  tcp: bool = False) -> tuple[DnsMessage, bytes]:
         """`query`, with a truncated UDP reply asked again over TCP."""
-        msg, reply = self.query(address, wire, tcp=tcp)
+        msg, reply = self.query(address, query, tcp=tcp)
         if "tc" in msg.flags and not tcp:
-            return self.exchange(address, wire, tcp=True)
+            return self.exchange(address, query, tcp=True)
         return msg, reply
 
 
@@ -100,14 +101,13 @@ class SocketTransport(Transport):
             return host, int(port)
         return address, self.port
 
-    def query(self, address: str, wire: bytes, tcp: bool = False,
-              timeout: float | None = None) -> tuple[DnsMessage, bytes]:
+    def query(self, address: str, query: DnsMessage,
+              tcp: bool = False) -> tuple[DnsMessage, bytes]:
         host, port = self._split(address)
-        timeout = self.timeout if timeout is None else timeout
-        query = decode_message(wire)
+        wire = encode_message(query)
         if not tcp:
-            return self._query_udp(host, port, wire, query, timeout)
-        reply = self._query_tcp(host, port, wire, timeout)
+            return self._query_udp(host, port, wire, query)
+        reply = self._query_tcp(host, port, wire)
         msg = reply_matches(reply, query.id, query.question)
         if msg is None:
             raise TransportError(f"tcp reply from {host}:{port} does not match the query")
@@ -120,22 +120,20 @@ class SocketTransport(Transport):
                 self._fixed_sock = None
 
     def _query_udp(self, host: str, port: int, wire: bytes,
-                   query: DnsMessage, timeout: float) -> tuple[DnsMessage, bytes]:
+                   query: DnsMessage) -> tuple[DnsMessage, bytes]:
         if self.source_port == "fixed":
             with self._lock:
                 if self._fixed_sock is None:
                     self._fixed_sock = socket.socket(socket.AF_INET,
                                                      socket.SOCK_DGRAM)
                     self._fixed_sock.bind(("", 0))
-                return self._exchange(self._fixed_sock, host, port, wire,
-                                      query, timeout)
+                return self._exchange(self._fixed_sock, host, port, wire, query)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            return self._exchange(sock, host, port, wire, query, timeout)
+            return self._exchange(sock, host, port, wire, query)
 
-    @staticmethod
-    def _exchange(sock: socket.socket, host: str, port: int, wire: bytes,
-                  query: DnsMessage, timeout: float) -> tuple[DnsMessage, bytes]:
-        deadline = time.monotonic() + timeout  # stray datagrams do not extend it
+    def _exchange(self, sock: socket.socket, host: str, port: int, wire: bytes,
+                  query: DnsMessage) -> tuple[DnsMessage, bytes]:
+        deadline = time.monotonic() + self.timeout  # stray datagrams do not extend it
         try:
             sock.sendto(wire, (host, port))
             while (remaining := deadline - time.monotonic()) > 0:
@@ -152,9 +150,9 @@ class SocketTransport(Transport):
             raise Timeout(f"udp query to {host}:{port}: {exc}") from exc
         raise Timeout(f"udp query to {host}:{port} timed out")
 
-    def _query_tcp(self, host: str, port: int, wire: bytes, timeout: float) -> bytes:
+    def _query_tcp(self, host: str, port: int, wire: bytes) -> bytes:
         try:
-            with socket.create_connection((host, port), timeout=timeout) as sock:
+            with socket.create_connection((host, port), timeout=self.timeout) as sock:
                 sock.sendall(len(wire).to_bytes(2, "big") + wire)
                 return recv_framed(sock)
         except socket.timeout as exc:

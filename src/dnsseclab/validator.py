@@ -204,17 +204,14 @@ def check_denial(qname: DnsName, qtype: int,
 # Chain of trust
 # ---------------------------------------------------------------------------
 
-def _sigs_covering(msg: DnsMessage, owner: DnsName, rtype: int,
-                   section: str = "answer") -> list[RrsigRdata]:
-    records = msg.answers if section == "answer" else msg.authority
-    return [r.rdata for r in records
+def _sigs_covering(msg: DnsMessage, owner: DnsName, rtype: int) -> list[RrsigRdata]:
+    return [r.rdata for r in msg.answers
             if r.rtype == RType.RRSIG and r.owner == owner
             and r.rdata.type_covered == rtype]
 
 
-def _rrset_from(msg: DnsMessage, owner: DnsName, rtype: int,
-                section: str = "answer") -> RRset | None:
-    records = msg.records_of(owner, rtype, section)
+def _rrset_from(msg: DnsMessage, owner: DnsName, rtype: int) -> RRset | None:
+    records = msg.records_of(owner, rtype)
     return RRset.from_records(records) if records else None
 
 

@@ -157,7 +157,7 @@ def test_fixed_source_port_reuses_one_socket(signed_zone):
         address = f"127.0.0.1:{probe.getsockname()[1]}"
         query = make_query(APEX, RType.A, id=4)
         for _ in range(3):
-            transport.query(address, encode_message(query))
+            transport.query(address, query)
         thread.join(timeout=3)
         transport.close()
         probe.close()
@@ -174,7 +174,7 @@ def test_server_reload_swaps_zones(signed_zone, fixture_zone):
     server.start()
     try:
         transport = SocketTransport(port=server.port)
-        query = encode_message(make_query(APEX, RType.A, id=5))
+        query = make_query(APEX, RType.A, id=5)
         first = transport.query("127.0.0.1", query)[0]
         assert first.answers[0].rdata.address == "192.168.1.3"
         server.reload([other])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -52,9 +53,9 @@ def test_round_trip_200_random_messages():
 
 def test_query_response_qr_flag():
     query = make_query(APEX, RType.A, rd=True)
-    assert not query.is_response
-    response = query.with_flags("qr", "aa")
-    assert response.is_response
+    assert "qr" not in query.flags
+    response = dataclasses.replace(query, flags=query.flags | {"qr", "aa"})
+    assert "qr" in response.flags
     assert decode_message(encode_message(response)).flags == response.flags
 
 

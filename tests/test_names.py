@@ -87,6 +87,23 @@ def test_text_round_trip_and_relative():
         DnsName.from_text("www")  # relative without origin
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("domaine.ma", "domaine.ma."),
+    ("domaine.ma.", "domaine.ma."),
+    (".", "."),
+    ("", "."),
+    ("a..b", NameError_),
+])
+def test_command_line_names_are_relative_to_the_root(text, expected):
+    """Names from the command line and config files parse against the root,
+    so a trailing dot is optional there."""
+    if expected is NameError_:
+        with pytest.raises(NameError_):
+            DnsName.from_text(text, ROOT)
+    else:
+        assert DnsName.from_text(text, ROOT) == name(expected)
+
+
 def test_subdomain_and_parent():
     assert name("www.domaine.ma.").is_subdomain_of(name("domaine.ma."))
     assert name("domaine.ma.").is_subdomain_of(name("domaine.ma."))

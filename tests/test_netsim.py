@@ -53,7 +53,7 @@ class ScriptedTap:
                           {guess: i for i, guess in enumerate(self.guesses)}, self.forge)
 
 
-def linear_query(transport: SimTransport, address: str, wire: bytes) -> bytes:
+def linear_query(transport: SimTransport, address: str, query: DnsMessage) -> bytes:
     """The packet-by-packet scan: every guess of every table becomes one
     packet, in the order sent, and the legitimate reply comes last; each
     packet tested takes one LATENCY and the first that passes wins."""
@@ -61,8 +61,8 @@ def linear_query(transport: SimTransport, address: str, wire: bytes) -> bytes:
     handler = net.hosts.get(address)
     net.transactions += 1
     net.advance(LATENCY)
-    txid = int.from_bytes(wire[:2], "big")
-    question = decode_message(wire).question
+    wire = encode_message(query)
+    txid, question = query.id, query.question
     src_port = transport.ports.next_port()
     packets = []
     for tap in net.taps:
@@ -103,15 +103,15 @@ def _world(seed, port_mode, taps, reply):
     return net, SimTransport(net, VICTIM, ports)
 
 
-def table_query(transport: SimTransport, address: str, wire: bytes) -> bytes:
-    msg, accepted = transport.query(address, wire)
+def table_query(transport: SimTransport, address: str, query: DnsMessage) -> bytes:
+    msg, accepted = transport.query(address, query)
     assert msg == decode_message(accepted)
     return accepted
 
 
-def _outcome(query, transport, wire):
+def _outcome(send, transport, query):
     try:
-        accepted = query(transport, SERVER, wire)
+        accepted = send(transport, SERVER, query)
     except Timeout:
         accepted = None
     net = transport.network
@@ -135,9 +135,9 @@ def test_guess_table_lookup_matches_the_packet_scan(seed, port_mode, taps, reply
     table_world = _world(seed, port_mode, taps, reply)
     scan_world = _world(seed, port_mode, taps, reply)
     for txid in txids:
-        wire = encode_message(make_query(WWW, RType.A, id=txid))
-        by_table = _outcome(table_query, table_world[1], wire)
-        by_scan = _outcome(linear_query, scan_world[1], wire)
+        query = make_query(WWW, RType.A, id=txid)
+        by_table = _outcome(table_query, table_world[1], query)
+        by_scan = _outcome(linear_query, scan_world[1], query)
         assert by_table == by_scan
 
 
@@ -145,11 +145,11 @@ def test_forged_wire_with_the_right_id_and_wrong_qname_is_refused():
     """The guess at the query's (port, id) lands, but its question names
     another owner: the match rule runs on the built wire and refuses it."""
     guesses = [(PORT_BASE, txid) for txid in range(SPACE)]
-    wire = encode_message(make_query(WWW, RType.A, id=2))
+    query = make_query(WWW, RType.A, id=2)
     net, transport = _world(0, "fixed", [(False, SERVER, guesses, True)], "match")
-    msg, accepted = transport.query(SERVER, wire)
+    msg, accepted = transport.query(SERVER, query)
     assert msg.answers[0].rdata.address == "192.0.2.1"
     assert net.taps[0].forged == 1 and net.forged_matcher_hits == 0
     scan_net, scan = _world(0, "fixed", [(False, SERVER, guesses, True)], "match")
-    assert linear_query(scan, SERVER, wire) == accepted
+    assert linear_query(scan, SERVER, query) == accepted
     assert repr(net.clock()) == repr(scan_net.clock())

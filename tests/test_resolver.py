@@ -1,9 +1,11 @@
 import errno
 import random
+import sys
 import threading
 
 import pytest
 
+from dnsseclab import message
 from dnsseclab.keystore import TrustAnchor
 from dnsseclab.message import DnsMessage, Edns, Rcode, decode_message, encode_message, make_query
 from dnsseclab.names import ROOT, DnsName
@@ -276,6 +278,26 @@ def test_degenerate_hierarchy_single_transaction(signed_zone):
     assert net.transactions == 1
 
 
+def test_one_lookup_decodes_only_the_query_at_the_server_and_the_reply(
+        signed_zone, monkeypatch):
+    """The client hands the transport its query message, so the only decodes
+    are the server's of the query and the client's of the reply."""
+    real, calls = message.decode_message, []
+
+    def counting(wire):
+        calls.append(wire)
+        return real(wire)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dnsseclab") and getattr(module, "decode_message", None) is real:
+            monkeypatch.setattr(module, "decode_message", counting)
+    net = SimNetwork(seed=2)
+    net.register(CHILD_ADDR, AuthoritativeService([signed_zone.zone]).handle_wire)
+    msg = resolve_iterative(WWW, RType.A, [CHILD_ADDR], SimTransport(net, "192.0.2.99"))
+    assert "aa" in msg.flags and net.transactions == 1
+    assert len(calls) == 2
+
+
 def test_referral_loop_hits_hop_limit():
     net = SimNetwork(seed=3)
     loop_zone = DnsName.from_text("loop.test.")
@@ -333,10 +355,9 @@ class _TruncatingTransport(Transport):
     def new_txid(self) -> int:
         return 7
 
-    def query(self, address, wire, tcp=False, timeout=2.0):
+    def query(self, address, query, tcp=False):
         if tcp:
             raise TransportError("connection refused")
-        query = decode_message(wire)
         reply = DnsMessage(id=query.id, flags=frozenset({"qr", "tc"}),
                            questions=list(query.questions))
         return reply, encode_message(reply)
@@ -453,11 +474,11 @@ def test_real_udp_tcp_server(signed_zone):
     try:
         transport = SocketTransport(port=server.port)
         query = make_query(APEX, RType.A, id=99, edns=Edns(do=True))
-        reply = transport.query("127.0.0.1", encode_message(query))[0]
+        reply = transport.query("127.0.0.1", query)[0]
         assert reply.id == 99 and {"qr", "aa"} <= reply.flags
         assert any(r.rtype == RType.RRSIG for r in reply.answers)
         # TCP path answers the same question
-        tcp_reply = transport.query("127.0.0.1", encode_message(query), tcp=True)[0]
+        tcp_reply = transport.query("127.0.0.1", query, tcp=True)[0]
         assert tcp_reply.answers
     finally:
         server.shutdown()
@@ -488,9 +509,9 @@ def test_port_zero_rebinds_pair_when_tcp_port_is_taken(signed_zone, monkeypatch)
         assert server._udp is udp_servers[1]
         assert server._udp.server_address[1] == server._tcp.server_address[1] == server.port
         transport = SocketTransport(port=server.port)
-        wire = encode_message(make_query(APEX, RType.A, id=5))
+        query = make_query(APEX, RType.A, id=5)
         for tcp_flag in (False, True):
-            assert transport.query("127.0.0.1", wire, tcp=tcp_flag)[0].answers
+            assert transport.query("127.0.0.1", query, tcp=tcp_flag)[0].answers
     finally:
         server.shutdown()
 
@@ -507,4 +528,4 @@ def test_shutdown_without_start_returns_and_closes_sockets(signed_zone):
 def test_socket_transport_timeout():
     transport = SocketTransport(port=1, timeout=0.2)
     with pytest.raises(Timeout):
-        transport.query("127.0.0.1", encode_message(make_query(APEX, RType.A)))
+        transport.query("127.0.0.1", make_query(APEX, RType.A))

@@ -69,7 +69,7 @@ def test_wrong_id_reply_from_server_port_is_ignored(source_port):
     transport = SocketTransport(timeout=2.0, source_port=source_port)
     try:
         with fake_server([_reply(txid=TXID + 1), _reply()]) as address:
-            assert transport.query(address, encode_message(QUERY))[1] == _reply()
+            assert transport.query(address, QUERY)[1] == _reply()
     finally:
         transport.close()
 
@@ -77,7 +77,7 @@ def test_wrong_id_reply_from_server_port_is_ignored(source_port):
 def test_wrong_question_reply_is_ignored():
     wrong = _reply(name=DnsName.from_text("evil.domaine.ma."))
     with fake_server([wrong, _reply()]) as address:
-        assert SocketTransport(timeout=2.0).query(address, encode_message(QUERY))[1] == _reply()
+        assert SocketTransport(timeout=2.0).query(address, QUERY)[1] == _reply()
 
 
 def test_stream_of_wrong_ids_times_out_on_one_deadline():
@@ -86,5 +86,5 @@ def test_stream_of_wrong_ids_times_out_on_one_deadline():
     with fake_server(stream, gap=0.01) as address:
         started = time.monotonic()
         with pytest.raises(Timeout):
-            SocketTransport(timeout=timeout).query(address, encode_message(QUERY))
+            SocketTransport(timeout=timeout).query(address, QUERY)
         assert time.monotonic() - started < timeout + 0.5
