@@ -16,7 +16,7 @@ from .config import ConfigError, load_root_hints, load_server_config
 from .keystore import (KeyRole, KeystoreError, algorithm_from_mnemonic,
                        algorithm_mnemonic, generate_key, load_trust_anchors,
                        read_key_pair, write_key_files)
-from .message import FLAG_ORDER, DnsMessage, Edns, Rcode, make_query, rcode_to_text
+from .message import FLAG_BITS, DnsMessage, Edns, Rcode, make_query, rcode_to_text
 from .names import ROOT, DnsName, NameError_
 from .records import RType, rtype_from_text, rtype_to_text
 from .resolver import Cache, RecursiveResolver, ResolverConfig
@@ -121,7 +121,7 @@ def render_response(msg: DnsMessage) -> str:
     """Diagnostic rendering of a response; a pure function of the message."""
     lines = [f";; ->>HEADER<<- opcode: QUERY, status: {rcode_to_text(msg.rcode)}, "
              f"id: {msg.id}"]
-    flags = " ".join(f for f in FLAG_ORDER if f in msg.flags)
+    flags = " ".join(f for f in FLAG_BITS if f in msg.flags)
     additional_count = len(msg.additional) + (1 if msg.edns else 0)
     lines.append(f";; flags: {flags}; QUERY: {len(msg.questions)}, "
                  f"ANSWER: {len(msg.answers)}, AUTHORITY: {len(msg.authority)}, "

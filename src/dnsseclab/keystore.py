@@ -296,14 +296,6 @@ def read_key_pair(base: Path | str) -> KeyPair:
 # Trust anchors
 # ---------------------------------------------------------------------------
 
-def export_trust_anchor(key: KeyPair) -> str:
-    """The final line of the public key file: the DNSKEY record a client
-    installs as its trusted key."""
-    if key.role is not KeyRole.KSK:
-        raise NotAKsk("only KSKs are exported as trust anchors")
-    return public_key_text(key).rstrip("\n").splitlines()[-1]
-
-
 def parse_trust_anchors(text: str) -> list[TrustAnchor]:
     anchors = []
     for line in text.splitlines():

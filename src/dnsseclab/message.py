@@ -5,11 +5,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import combinations
 
-from .names import DnsName, OversizeName
+from .names import DnsName
 from .records import RdataError, ResourceRecord, RType, rdata_from_wire, rtype_to_text
 from .wire import Truncated, read_exact, read_name
 
+# In the presentation order of dig-style flag lines.
 FLAG_BITS = {
     "qr": 0x8000,
     "aa": 0x0400,
@@ -20,8 +22,11 @@ FLAG_BITS = {
     "cd": 0x0010,
 }
 
-# Presentation order used on dig-style flag lines.
-FLAG_ORDER = ("qr", "aa", "tc", "rd", "ra", "ad", "cd")
+_FLAG_NAMES = frozenset(FLAG_BITS)
+_FLAG_MASK = sum(FLAG_BITS.values())
+#: The flag set of each combination of the bits in `_FLAG_MASK`.
+_FLAG_SETS = {sum(FLAG_BITS[f] for f in names): frozenset(names)
+              for n in range(len(FLAG_BITS) + 1) for names in combinations(FLAG_BITS, n)}
 
 
 class Rcode(IntEnum):
@@ -70,7 +75,7 @@ class DnsMessage:
 
     def __post_init__(self):
         self.flags = frozenset(self.flags)
-        unknown = self.flags - set(FLAG_BITS)
+        unknown = self.flags - _FLAG_NAMES
         if unknown:
             raise ValueError(f"unknown flags {sorted(unknown)}")
 
@@ -103,19 +108,16 @@ def make_query(name: DnsName, qtype: int, *, id: int = 0, rd: bool = False,
 # Encoding
 # ---------------------------------------------------------------------------
 
-def _write_name(out: bytearray, name: DnsName, table: dict | None) -> None:
+def _write_name(out: bytearray, name: DnsName, table: dict) -> None:
     labels = name.labels
-    if sum(len(l) + 1 for l in labels) + 1 > 255:
-        raise OversizeName("name exceeds 255 octets")
     for i, label in enumerate(labels):
         suffix = labels[i:]
-        if table is not None:
-            offset = table.get(suffix)
-            if offset is not None:
-                out += struct.pack(">H", 0xC000 | offset)
-                return
-            if len(out) <= 0x3FFF:
-                table[suffix] = len(out)
+        offset = table.get(suffix)
+        if offset is not None:
+            out += struct.pack(">H", 0xC000 | offset)
+            return
+        if len(out) <= 0x3FFF:
+            table[suffix] = len(out)
         out.append(len(label))
         out += label
     out.append(0)
@@ -173,10 +175,11 @@ def _read_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
 
 
 def decode_message(data: bytes) -> DnsMessage:
+    data = bytes(data)  # `read_name` builds names from its slices unchecked
     msg_id, flags_word, qdcount, ancount, nscount, arcount = struct.unpack(
         ">HHHHHH", read_exact(data, 0, len(data), 12, "header"))
-    flags = frozenset(f for f, bit in FLAG_BITS.items() if flags_word & bit)
-    msg = DnsMessage(id=msg_id, flags=flags, rcode=flags_word & 0x0F)
+    msg = DnsMessage(id=msg_id, flags=_FLAG_SETS[flags_word & _FLAG_MASK],
+                     rcode=flags_word & 0x0F)
     offset = 12
     for _ in range(qdcount):
         name, offset = read_name(data, offset, len(data))

@@ -35,7 +35,16 @@ class DnsName:
         if sum(len(l) + 1 for l in labels) + 1 > MAX_NAME:
             raise OversizeName("encoded name exceeds 255 octets")
         self.labels = labels
-        self._key = tuple(l.lower() for l in labels)
+        self._key = tuple(map(bytes.lower, labels))
+
+    @classmethod
+    def _trusted(cls, labels: tuple[bytes, ...], key: tuple | None = None) -> "DnsName":
+        """A name from `bytes` labels that already passed `__init__`'s checks;
+        only `wire.read_name` and `parent` call it (a test keeps it so)."""
+        name = object.__new__(cls)
+        name.labels = labels
+        name._key = tuple(map(bytes.lower, labels)) if key is None else key
+        return name
 
     @classmethod
     def from_text(cls, text: str, origin: "DnsName | None" = None) -> "DnsName":
@@ -84,13 +93,10 @@ class DnsName:
 
     # -- structure -------------------------------------------------------
 
-    def label_count(self) -> int:
-        return len(self.labels)
-
     def parent(self) -> "DnsName":
         if not self.labels:
             raise NameError_("root has no parent")
-        return DnsName(self.labels[1:])
+        return DnsName._trusted(self.labels[1:], self._key[1:])
 
     def is_subdomain_of(self, other: "DnsName") -> bool:
         """True when self is at or below `other`."""

@@ -15,7 +15,10 @@ That models the exact race a cache-poisoning attacker exploits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Callable, Protocol
 
 from .message import DnsMessage, encode_message
@@ -141,16 +144,9 @@ class SimTransport(Transport):
             return msg, reply
 
         src_port = self.ports.next_port()
-        tables = []
-        for tap in net.taps:
-            if tap.on_path:
-                event = QueryEvent(address, question.name, question.qtype,
-                                   self.address, txid=txid, src_port=src_port,
-                                   wire=wire)
-            else:
-                event = QueryEvent(address, question.name, question.qtype,
-                                   self.address)
-            tables.append(tap.on_query(event))
+        event = QueryEvent(address, question.name, question.qtype, self.address)
+        tables = [tap.on_query(replace(event, txid=txid, src_port=src_port, wire=wire)
+                               if tap.on_path else event) for tap in net.taps]
         for table in tables:
             position = (table.positions.get((src_port, txid))
                         if table.claimed_src == address else None)
@@ -173,7 +169,8 @@ class SimTransport(Transport):
         raise Timeout(f"no matching answer from {address}")
 
     def _deliver(self, packets: int) -> None:
-        """One `LATENCY` per packet, added one at a time: the float clock
-        then reads the same as when each packet is tested in turn."""
-        for _ in range(packets):
-            self.network.advance(LATENCY)
+        """One `LATENCY` per packet, added one at a time in order (not `sum`,
+        which compensates, nor a product): the float clock then reads the
+        same as when each packet is tested in turn."""
+        net = self.network
+        net._time = reduce(add, repeat(LATENCY, packets), net._time)

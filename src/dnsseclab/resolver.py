@@ -210,7 +210,7 @@ class RecursiveResolver:
         """Start iteration at the deepest cached delegation for the name;
         this is what a poisoned NS RRset hijacks."""
         name = qname
-        while name.label_count() > 0:
+        while name.labels:
             entry = self.cache.get((name, RType.NS, 1), now)
             if entry is not None and entry.rrset is not None:
                 addresses = []

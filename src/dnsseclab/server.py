@@ -24,7 +24,7 @@ BIND_ATTEMPTS = 5
 
 def find_zone(zones: list, qname: DnsName) -> Zone | None:
     return max((zone for zone in zones if qname.is_subdomain_of(zone.apex)),
-               key=lambda zone: zone.apex.label_count(), default=None)
+               key=lambda zone: len(zone.apex.labels), default=None)
 
 
 def _rrsigs_covering(zone: Zone, owner: DnsName, rtype: int) -> list[ResourceRecord]:

@@ -123,7 +123,7 @@ def sign_rrset(rrset: RRset, key: KeyPair, policy: SigningPolicy,
     rdata = RrsigRdata(
         type_covered=rrset.rtype,
         algorithm=key.algorithm,
-        labels=rrset.owner.label_count(),
+        labels=len(rrset.owner.labels),
         original_ttl=rrset.ttl,
         expiration=inception + policy.validity,
         inception=inception,
@@ -182,6 +182,7 @@ def sign_zone(zone: Zone, zsk: KeyPair, ksk: KeyPair, policy: SigningPolicy,
         stripped.records.extend(k.dnskey_record(ttl) for k in missing)
 
     chained = build_nsec_chain(stripped)
+    del stripped  # its lookup tables are not needed while signing
     rrsigs = []
     for rrset in group_rrsets(chained.records):
         if not _is_signable(chained, rrset):
@@ -195,6 +196,7 @@ def sign_zone(zone: Zone, zsk: KeyPair, ksk: KeyPair, policy: SigningPolicy,
     stats.signatures_generated = len(rrsigs)
 
     signed = Zone(chained.apex, chained.records + rrsigs)
+    del chained  # nor are the chained copy's while self-verifying
     _self_verify(signed, (zsk.public, ksk.public), stats, now)
     stats.runtime_seconds = time.perf_counter() - started
     return SignedZone(signed, stats, [zsk.key_tag, ksk.key_tag])

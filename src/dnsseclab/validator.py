@@ -103,7 +103,7 @@ def verify_rrsig(rrset: RRset, sig: RrsigRdata, key: DnskeyRdata,
             or sig.type_covered != rrset.rtype
             or not rrset.owner.is_subdomain_of(sig.signer_name)):
         return SigCheck.WRONG_KEY
-    if sig.labels > rrset.owner.label_count():
+    if sig.labels > len(rrset.owner.labels):
         return SigCheck.WRONG_KEY
     if now < sig.inception:
         return SigCheck.NOT_YET_VALID
@@ -219,7 +219,7 @@ def _closest_anchor(qname: DnsName, anchors: list[TrustAnchor]) -> TrustAnchor |
     best = None
     for anchor in anchors:
         if qname.is_subdomain_of(anchor.zone):
-            if best is None or anchor.zone.label_count() > best.zone.label_count():
+            if best is None or len(anchor.zone.labels) > len(best.zone.labels):
                 best = anchor
     return best
 
@@ -296,8 +296,7 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
     chain.append((anchor.zone, zone_keys.entry_tag))
 
     # Descend one label at a time from the anchor zone toward the signer zone.
-    missing = target_zone.labels[: target_zone.label_count()
-                                 - anchor.zone.label_count()]
+    missing = target_zone.labels[: len(target_zone.labels) - len(anchor.zone.labels)]
     current = anchor.zone
     for label in reversed(missing):
         child = DnsName((label,) + current.labels)

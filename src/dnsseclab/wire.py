@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .names import MAX_LABEL, MAX_NAME, DnsName
+from .names import MAX_NAME, DnsName
 
 #: A name has at most 127 labels; a longer pointer chain only slows decoding.
 MAX_POINTERS = MAX_NAME // 2
@@ -25,7 +25,9 @@ class LabelTooLong(WireError):
 
 
 def read_name(data: bytes, offset: int, end: int) -> tuple[DnsName, int]:
-    """Read a possibly-compressed name starting at `offset`.
+    """Read a possibly-compressed name starting at `offset`. This is the one
+    place where wire names are checked; the name is then built from slices of
+    `data` without `DnsName`'s checks, so `data` must be `bytes`.
 
     Returns the name and the offset just past its in-place encoding, which
     must end by `end`; labels reached through a pointer may lie anywhere in
@@ -56,10 +58,8 @@ def read_name(data: bytes, offset: int, end: int) -> tuple[DnsName, int]:
             pointers += 1
             pos = target
             continue
-        if length & 0xC0:
+        if length & 0xC0:  # 0x40-0xBF are reserved, so a label is at most 63 octets
             raise LabelTooLong(f"reserved label type 0x{length:02x}")
-        if length > MAX_LABEL:
-            raise LabelTooLong(f"label of {length} octets")
         if pos + 1 + length > end:
             raise Truncated("label runs past the end of its field")
         labels.append(data[pos + 1 : pos + 1 + length])
@@ -67,7 +67,7 @@ def read_name(data: bytes, offset: int, end: int) -> tuple[DnsName, int]:
         if total > MAX_NAME:
             raise LabelTooLong("assembled name exceeds 255 octets")
         pos += 1 + length
-    return DnsName(labels), stop if pointers else pos
+    return DnsName._trusted(tuple(labels)), stop if pointers else pos
 
 
 def read_exact(data: bytes, offset: int, end: int, count: int, what: str) -> bytes:

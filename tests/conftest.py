@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dnsseclab.keystore import KeyRole, generate_key
+from dnsseclab.keystore import KeyRole, generate_key, public_key_text
 from dnsseclab.message import DnsMessage, Edns, Question
 from dnsseclab.names import DnsName
 from dnsseclab.records import (ARdata, CnameRdata, DnskeyRdata, DsRdata,
@@ -94,6 +94,12 @@ def parent_zone_signed(parent_zsk, parent_ksk, ksk):
     return sign_zone(zone, parent_zsk, parent_ksk, SigningPolicy(), FIXED_NOW)
 
 
+def trust_anchor_line(key) -> str:
+    """The final line of the key's public key file: the DNSKEY record a
+    client installs (`tail -n 1`) as its trusted key."""
+    return public_key_text(key).rstrip("\n").splitlines()[-1]
+
+
 def make_fetcher(zones, counter=None):
     """Fetch callback for chain validation: answer DNSKEY/DS queries from the
     zone that authoritatively holds them (DS lives in the parent)."""
@@ -105,7 +111,7 @@ def make_fetcher(zones, counter=None):
         if counter is not None:
             counter[0] += 1
         candidates = sorted((z for z in zones if name.is_subdomain_of(z.apex)),
-                            key=lambda z: z.apex.label_count(), reverse=True)
+                            key=lambda z: len(z.apex.labels), reverse=True)
         if not candidates:
             raise AssertionError(f"no fixture zone holds {name}")
         zone = candidates[0]

@@ -8,13 +8,13 @@ from dnsseclab.keystore import (BadKeySize, KeyMismatch, KeyPair, KeyRole,
                                 NotAKsk, ParseError, TrustAnchor,
                                 UnsupportedAlgorithm, algorithm_from_mnemonic,
                                 decode_rsa_public, encode_rsa_public,
-                                export_trust_anchor, generate_key,
+                                generate_key,
                                 parse_trust_anchors, read_key_files,
                                 read_key_pair, write_key_files)
 from dnsseclab.records import DnskeyRdata, RType
 from dnsseclab.zonefile import parse_record_line
 
-from conftest import APEX, FIXED_NOW
+from conftest import APEX, FIXED_NOW, trust_anchor_line
 
 
 def small_key(role=KeyRole.ZSK, seed=1):
@@ -134,7 +134,7 @@ def test_private_file_fields(tmp_path):
 
 def test_export_trust_anchor(tmp_path):
     ksk = small_key(KeyRole.KSK, seed=5)
-    line = export_trust_anchor(ksk)
+    line = trust_anchor_line(ksk)
     public_path, _ = write_key_files(ksk, tmp_path)
     assert line == public_path.read_text().rstrip().splitlines()[-1]
     anchors = parse_trust_anchors(f"# pinned key\n{line}\n")
@@ -143,11 +143,11 @@ def test_export_trust_anchor(tmp_path):
 
 def test_export_requires_ksk():
     with pytest.raises(NotAKsk):
-        export_trust_anchor(small_key(KeyRole.ZSK))
+        parse_trust_anchors(trust_anchor_line(small_key(KeyRole.ZSK)))
 
 
 def test_anchor_file_rejects_zsk_lines():
-    line = export_trust_anchor(small_key(KeyRole.KSK, seed=5))
+    line = trust_anchor_line(small_key(KeyRole.KSK, seed=5))
     zsk_line = line.replace("DNSKEY 257", "DNSKEY 256")
     with pytest.raises(NotAKsk):
         parse_trust_anchors(zsk_line)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dnsseclab.message import (DnsMessage, Edns, Question, Rcode, TooManyRecords,
                                decode_message, encode_message, make_query)
 from dnsseclab.names import DnsName
-from dnsseclab.records import (RDATA_CLASSES, ARdata, OpaqueRdata, RdataError,
+from dnsseclab.records import (RDATA_CLASSES, ARdata, NsRdata, OpaqueRdata, RdataError,
                                ResourceRecord, RrsigRdata, RType, SoaRdata)
 from dnsseclab.wire import MAX_POINTERS, BadPointer, LabelTooLong, Truncated, WireError
 
@@ -245,3 +245,114 @@ def test_mutated_wires_raise_only_typed_errors():
                 decode_message(bytes(wire))
             except (WireError, RdataError):
                 pass
+
+
+# ---------------------------------------------------------------------------
+# Names are checked once, by read_name
+# ---------------------------------------------------------------------------
+
+def names_in(msg: DnsMessage):
+    """Every name the decoder built: questions, owners and names in RDATA."""
+    for question in msg.questions:
+        yield question.name
+    for _, section in msg.section_records():
+        for record in section:
+            yield record.owner
+            for f in dataclasses.fields(record.rdata):
+                value = getattr(record.rdata, f.name)
+                if isinstance(value, DnsName):
+                    yield value
+
+
+def assert_same_as_checked(name: DnsName) -> None:
+    """The name and each of its ancestors equal, in every field the
+    comparisons read, the name `DnsName.__init__` builds from its labels."""
+    while True:
+        assert all(type(label) is bytes for label in name.labels)
+        checked = DnsName(name.labels)
+        assert checked.labels == name.labels
+        assert checked._key == name._key
+        assert hash(checked) == hash(name)
+        assert checked.canonical_key() == name.canonical_key()
+        if not name.labels:
+            return
+        name = name.parent()
+
+
+LABEL = st.one_of(st.binary(min_size=1, max_size=63),
+                  st.text("abcXYZ-09", min_size=1, max_size=63).map(str.encode))
+
+
+@st.composite
+def names_sharing_a_suffix(draw):
+    """Names under one suffix, some with its exact labels (so the encoder
+    compresses them) and some with its letters' case swapped."""
+    suffix = draw(st.lists(LABEL, max_size=3))
+    names = []
+    for _ in range(draw(st.integers(1, 6))):
+        tail = suffix[draw(st.integers(0, len(suffix))):]
+        if draw(st.booleans()):
+            tail = [label.swapcase() for label in tail]
+        labels = draw(st.lists(LABEL, max_size=2)) + tail
+        if sum(len(label) + 1 for label in labels) + 1 <= 255:
+            names.append(DnsName(labels))
+    return names or [DnsName([])]
+
+
+@settings(deadline=None)
+@given(names_sharing_a_suffix(), st.data())
+def test_decoded_names_equal_the_checked_constructors(names, data):
+    owners = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=6))
+    targets = data.draw(st.lists(st.sampled_from(names), min_size=len(owners),
+                                 max_size=len(owners)))
+    msg = DnsMessage(id=1, flags=frozenset({"qr", "aa"}),
+                     questions=[Question(owners[0], RType.NS)],
+                     answers=[ResourceRecord(owner, RType.NS, 1, 60, NsRdata(target))
+                              for owner, target in zip(owners, targets)])
+    decoded = decode_message(encode_message(msg))
+    assert decoded == msg
+    for name in names_in(decoded):
+        assert_same_as_checked(name)
+
+
+def question_pair(first: bytes, second: bytes) -> bytes:
+    """Two A questions, `first` in place at offset 12 and then `second`."""
+    return (struct.pack(">HHHHHH", 1, 0, 2, 0, 0, 0)
+            + first + struct.pack(">HH", RType.A, 1)
+            + second + struct.pack(">HH", RType.A, 1))
+
+
+NAME_253 = b"".join(bytes([n]) + b"a" * n for n in (63, 63, 63, 59)) + b"\x00"
+
+
+@pytest.mark.parametrize("wire, error", [
+    (question_pair(NAME_253, b"\x01a\xc0\x0c"), None),
+    (question_pair(NAME_253, b"\x02ab\xc0\x0c"), LabelTooLong),
+    (question_pair(b"\x40" + b"a" * 64 + b"\x00", b"\x00"), LabelTooLong),
+], ids=["255-through-a-pointer", "256-through-a-pointer", "label-of-64"])
+def test_read_name_is_where_wire_names_are_bounded(wire, error):
+    if error is None:
+        msg = decode_message(wire)
+        assert len(msg.questions[1].name.to_wire()) == 255
+        assert_same_as_checked(msg.questions[1].name)
+    else:
+        assert issubclass(error, WireError)
+        with pytest.raises(error):
+            decode_message(wire)
+
+
+@pytest.mark.parametrize("convert", [bytes, bytearray, memoryview])
+def test_decoder_takes_any_bytes_like_input(convert):
+    ns = DnsName.from_text("ns.domaine.ma.")
+    reply = DnsMessage(
+        id=5, flags=frozenset({"qr", "aa"}),
+        questions=[Question(DnsName.from_text("www.domaine.ma."), RType.A)],
+        answers=[ResourceRecord(DnsName.from_text("www.domaine.ma."), RType.A, 1,
+                                60, ARdata("10.0.0.1"))],
+        authority=[ResourceRecord(APEX, RType.NS, 1, 60, NsRdata(ns))],
+        additional=[ResourceRecord(ns, RType.A, 1, 60, ARdata("10.0.0.2"))])
+    wire = encode_message(reply)
+    decoded = decode_message(convert(wire))
+    assert decoded == decode_message(wire) == reply
+    for name in names_in(decoded):
+        assert_same_as_checked(name)

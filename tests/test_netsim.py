@@ -5,15 +5,19 @@ order sent, kept here as the reference."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnsseclab.attack import AttackConfig, build_lab
 from dnsseclab.message import DnsMessage, Question, decode_message, encode_message, make_query
 from dnsseclab.names import DnsName
 from dnsseclab.netsim import (LATENCY, PORT_BASE, GuessTable, PortPolicy, QueryEvent,
                               SimNetwork, SimTransport)
 from dnsseclab.records import ARdata, ResourceRecord, RType
 from dnsseclab.transport import Timeout, reply_matches
+
+from conftest import APEX
 
 WWW = DnsName.from_text("www.domaine.ma.")
 EVIL = DnsName.from_text("evil.domaine.ma.")
@@ -153,3 +157,38 @@ def test_forged_wire_with_the_right_id_and_wrong_qname_is_refused():
     scan_net, scan = _world(0, "fixed", [(False, SERVER, guesses, True)], "match")
     assert linear_query(scan, SERVER, query) == accepted
     assert repr(net.clock()) == repr(scan_net.clock())
+
+
+@pytest.mark.parametrize("start", [1_750_000_000.0, 0.0, 12_345.678])
+def test_delivering_n_packets_adds_latency_n_times_in_order(start):
+    """The clock after `_deliver(n)` is the float that n one-at-a-time
+    additions of `LATENCY` give, to the last bit."""
+    for packets in range(301):
+        net = SimNetwork(start_time=start)
+        SimTransport(net, VICTIM)._deliver(packets)
+        reference = SimNetwork(start_time=start)
+        for _ in range(packets):
+            reference.advance(LATENCY)
+        assert net.clock() == reference.clock()
+        assert repr(net.clock()) == repr(reference.clock())
+
+
+def test_plain_lookup_builds_no_name_through_the_checks(signed_zone, monkeypatch):
+    """Names decoded from the wire, and their parents, skip `DnsName.__init__`:
+    `read_name` has already checked them."""
+    lab = build_lab(AttackConfig(mode="kaminsky", target_zone=APEX,
+                                 forged_per_query=100, seed=1), signed_zone.zone)
+    qname = DnsName.from_text("r0-0.domaine.ma.")
+    lab.attacker.arm(qname)
+    calls = []
+    checked_init = DnsName.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        checked_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DnsName, "__init__", counting_init)
+    reply = lab.victim.resolve_name(qname, RType.A)
+    monkeypatch.undo()
+    assert reply.answers or reply.authority
+    assert len(calls) <= 1

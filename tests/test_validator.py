@@ -16,7 +16,7 @@ from dnsseclab.validator import (Denial, Reason, Security, SigCheck, nsec_witnes
 
 from dnsseclab.zonefile import parse_zone_file
 
-from conftest import APEX, FIXED_NOW, MA, make_fetcher
+from conftest import APEX, FIXED_NOW, MA, make_fetcher, trust_anchor_line
 
 POLICY = SigningPolicy()
 
@@ -226,8 +226,8 @@ def test_fetch_failures_are_not_bogus(signed_zone, ksk):
 
 def test_exported_anchor_line_bootstraps_validation(signed_zone, ksk):
     # the line a client installs via `tail -n 1` is enough to trust the zone
-    from dnsseclab.keystore import export_trust_anchor, parse_trust_anchors
-    anchors = parse_trust_anchors(export_trust_anchor(ksk))
+    from dnsseclab.keystore import parse_trust_anchors
+    anchors = parse_trust_anchors(trust_anchor_line(ksk))
     zone = signed_zone.zone
     response = _answer_for(zone, APEX)
     outcome = validate_chain(response, APEX, RType.A, anchors,

@@ -46,7 +46,7 @@ def ref_deepest_cut(zone, qname):
     best = None
     for cut in ref_delegations(zone):
         if qname.is_subdomain_of(cut):
-            if best is None or cut.label_count() > best.label_count():
+            if best is None or len(cut.labels) > len(best.labels):
                 best = cut
     return best
 
