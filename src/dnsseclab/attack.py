@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .config import ConfigError, _parse_bool, _parse_int
 from .keystore import TrustAnchor, load_trust_anchors
-from .message import DnsMessage, Question, decode_message, encode_message
+from .message import decode_message, encode_message, make_query, make_reply
 from .names import ROOT, DnsName
 from .records import ARdata, NsRdata, ResourceRecord, RType
 from .netsim import (NO_GUESSES, PORT_BASE, GuessTable, PortPolicy, QueryEvent,
@@ -134,8 +134,7 @@ class KaminskyAttacker:
     def forged_referral(self, qname: DnsName, qtype: int, txid: int) -> bytes:
         """The wire of a referral that delegates the target zone to the
         attacker's name server, answering (qname, qtype) with id `txid`."""
-        msg = DnsMessage(id=txid, flags=frozenset({"qr"}),
-                         questions=[Question(qname, qtype)])
+        msg = make_reply(make_query(qname, qtype, id=txid))
         msg.authority.append(ResourceRecord(self.cfg.target_zone, RType.NS, 1,
                                             86400, NsRdata(self.evil_ns)))
         msg.additional.append(ResourceRecord(self.evil_ns, RType.A, 1, 86400,
@@ -181,8 +180,7 @@ class EvilAuthority:
     def handle_wire(self, wire: bytes, via_tcp: bool) -> bytes:
         query = decode_message(wire)
         q = query.question
-        reply = DnsMessage(id=query.id, flags=frozenset({"qr", "aa"}),
-                           questions=list(query.questions))
+        reply = make_reply(query, "aa")
         if q is not None:
             reply.answers.append(ResourceRecord(q.name, RType.A, 1, 86400,
                                                 ARdata(EVIL_IP)))

@@ -104,6 +104,14 @@ def make_query(name: DnsName, qtype: int, *, id: int = 0, rd: bool = False,
                       questions=[Question(name, qtype)], edns=edns)
 
 
+def make_reply(query: DnsMessage, *flags: str, rcode: int = Rcode.NOERROR) -> DnsMessage:
+    """The empty reply to `query`: its id and question, its rd bit echoed, qr
+    and `flags` set, and EDNS (DO echoed, payload 4096) when the query had EDNS."""
+    edns = Edns(do=query.edns.do) if query.edns else None
+    return DnsMessage(id=query.id, flags=(query.flags & {"rd"}) | {"qr", *flags},
+                      rcode=rcode, questions=list(query.questions), edns=edns)
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------

@@ -412,6 +412,14 @@ class NsecRdata:
                    frozenset(rtype_from_text(t) for t in types))
 
 
+def nsec_gap_covers(owner_key: tuple, next_key: tuple, key: tuple) -> bool:
+    """True when `key` falls in the gap an NSEC spans from its owner to its
+    next name, all three as canonical keys (RFC 4035 §3.1.3). A next name
+    that does not sort after the owner marks the chain's wraparound back to
+    the apex, covering everything past the owner."""
+    return owner_key < key and (key < next_key or next_key <= owner_key)
+
+
 @dataclass(frozen=True)
 class DsRdata:
     RTYPE = RType.DS

@@ -10,13 +10,16 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import RootHints
-from .message import DnsMessage, Edns, Rcode, make_query
+from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
-from .records import ResourceRecord, RRset, RType, group_rrsets
+from .records import RRset, RType, group_rrsets
 from .transport import Timeout, Transport, TransportError
 from .validator import FetchFailure, Security, validate_chain
 
 MAX_NEGATIVE_TTL = 3600
+HOP_LIMIT = 16
+#: Types a client without the DO bit sees only when it asked for them.
+_DNSSEC_TYPES = (RType.RRSIG, RType.NSEC, RType.DNSKEY)
 
 
 class ResolutionError(Exception):
@@ -125,15 +128,14 @@ def _referral_targets(msg: DnsMessage) -> list[str]:
 
 
 def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
-                      transport: Transport, *,
-                      hop_limit: int = 16, udp_payload: int = 4096,
+                      transport: Transport, *, udp_payload: int = 4096,
                       on_response: Callable[[DnsMessage], None] | None = None,
                       ) -> DnsMessage:
     """Follow referrals from the given servers down to an authoritative
     answer. Truncated UDP replies are retried over TCP against the same
     server before the response is interpreted."""
     candidates = list(servers)
-    for _ in range(hop_limit):
+    for _ in range(HOP_LIMIT):
         if not candidates:
             raise ServFail(f"no reachable server for {qname}")
         query = make_query(qname, qtype, id=transport.new_txid(),
@@ -162,7 +164,6 @@ def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
 class ResolverConfig:
     dnssec_enabled: bool = False
     anchors: tuple = ()
-    hop_limit: int = 16
 
 
 class RecursiveResolver:
@@ -186,17 +187,21 @@ class RecursiveResolver:
     def resolve(self, query: DnsMessage) -> DnsMessage:
         q = query.question
         if q is None:
-            return replace(query, flags=query.flags | {"qr"}, rcode=Rcode.FORMERR)
+            return make_reply(query, "ra", rcode=Rcode.FORMERR)
         now = self.clock()
-        key = (q.name, q.qtype, q.qclass)
-        entry = self.cache.get(key, now)
-        if entry is not None:
-            return self._reply_from_cache(query, entry, now)
-        try:
-            upstream = self._resolve_upstream(q.name, q.qtype, now)
-        except (ResolutionError, TransportError, FetchFailure):
-            return self._servfail(query)
-        return self._finish(query, upstream, now)
+        entry = self.cache.get((q.name, q.qtype, q.qclass), now)
+        if entry is None:
+            try:
+                msg, security = self._resolve_upstream(q.name, q.qtype, now)
+            except (ResolutionError, TransportError, FetchFailure):
+                return self._reply(query, Rcode.SERVFAIL, (), (), Security.INSECURE)
+            return self._reply(query, msg.rcode, msg.answers, msg.authority, security)
+        ttl = entry.remaining_ttl(now)
+        if entry.negative is not None:
+            authority = [replace(r, ttl=min(r.ttl, ttl)) for r in entry.negative.authority]
+            return self._reply(query, entry.negative.rcode, (), authority, entry.security)
+        answers = [replace(r, ttl=ttl) for r in (*entry.rrset.records(), *entry.rrsigs)]
+        return self._reply(query, Rcode.NOERROR, answers, (), entry.security)
 
     def resolve_name(self, qname: DnsName, qtype: int = RType.A,
                      do: bool = False) -> DnsMessage:
@@ -227,7 +232,6 @@ class RecursiveResolver:
         referrals: list[DnsMessage] = []
         msg = resolve_iterative(
             qname, qtype, self._starting_servers(qname, now), self.transport,
-            hop_limit=self.config.hop_limit,
             on_response=referrals.append)
         security = Security.INSECURE
         if self.config.dnssec_enabled:
@@ -252,9 +256,8 @@ class RecursiveResolver:
         def fetch(name: DnsName, rtype: int) -> DnsMessage:
             key = (name, rtype)
             if key not in memo:
-                memo[key] = resolve_iterative(
-                    name, rtype, self.hint_addresses, self.transport,
-                    hop_limit=self.config.hop_limit)
+                memo[key] = resolve_iterative(name, rtype, self.hint_addresses,
+                                              self.transport)
             return memo[key]
 
         return fetch
@@ -295,50 +298,20 @@ class RecursiveResolver:
                                   inserted_at=now, expires_at=now + ttl,
                                   security=security, negative=skeleton), now)
 
-    def _reply_from_cache(self, query: DnsMessage, entry: CacheEntry,
-                          now: float) -> DnsMessage:
-        reply = self._base_reply(query)
-        if entry.security is Security.SECURE and self.config.dnssec_enabled:
-            reply.flags = reply.flags | {"ad"}
-        if entry.negative is not None:
-            reply.rcode = entry.negative.rcode
-            reply.authority = [r for r in entry.negative.authority
-                               if query.do_bit or r.rtype not in
-                               (RType.RRSIG, RType.NSEC)]
-            return reply
-        ttl = entry.remaining_ttl(now)
-        reply.answers = [replace(r, ttl=ttl) for r in entry.rrset.records()]
-        if query.do_bit:
-            reply.answers.extend(replace(r, ttl=ttl) for r in entry.rrsigs)
-        return reply
-
-    def _finish(self, query: DnsMessage, upstream, now: float) -> DnsMessage:
-        msg, security = upstream
-        reply = self._base_reply(query)
-        reply.rcode = msg.rcode
-        keep_dnssec = query.do_bit
-        q = query.question
-
-        def visible(record: ResourceRecord) -> bool:
-            if keep_dnssec or record.rtype == q.qtype:
-                return True
-            return record.rtype not in (RType.RRSIG, RType.NSEC, RType.DNSKEY)
-
-        reply.answers = [r for r in msg.answers if visible(r)]
-        reply.authority = [r for r in msg.authority if visible(r)]
+    def _reply(self, query: DnsMessage, rcode: int, answers, authority,
+               security: Security) -> DnsMessage:
+        """The reply to a client, fresh or cached alike: without the DO bit
+        it sees DNSSEC records only of the type it asked for, and AD marks
+        data validated as Secure."""
+        reply = make_reply(query, "ra", rcode=rcode)
         if security is Security.SECURE and self.config.dnssec_enabled:
             reply.flags = reply.flags | {"ad"}
-        return reply
+        do, qtype = query.do_bit, query.question.qtype
 
-    def _base_reply(self, query: DnsMessage) -> DnsMessage:
-        reply = DnsMessage(id=query.id,
-                           flags=frozenset({"qr", "ra"} | (query.flags & {"rd"})),
-                           questions=list(query.questions))
-        if query.edns:
-            reply.edns = Edns(version=0, do=query.edns.do, udp_payload=4096)
-        return reply
+        def visible(records) -> list:
+            return [r for r in records
+                    if do or r.rtype == qtype or r.rtype not in _DNSSEC_TYPES]
 
-    def _servfail(self, query: DnsMessage) -> DnsMessage:
-        reply = self._base_reply(query)
-        reply.rcode = Rcode.SERVFAIL
+        reply.answers = visible(answers)
+        reply.authority = visible(authority)
         return reply

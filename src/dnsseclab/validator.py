@@ -11,9 +11,9 @@ from typing import Callable
 from . import rsa
 from .keystore import ALGORITHMS, TrustAnchor, decode_rsa_public
 from .message import DnsMessage
-from .names import DnsName, canonical_compare
-from .records import (DnskeyRdata, DsRdata, NsecRdata, ResourceRecord, RRset,
-                      RrsigRdata, RType, canonical_rrset_bytes)
+from .names import DnsName
+from .records import (DnskeyRdata, DsRdata, ResourceRecord, RRset, RrsigRdata,
+                      RType, canonical_rrset_bytes, nsec_gap_covers)
 
 DS_DIGESTS = {1: "sha1", 2: "sha256"}
 
@@ -162,16 +162,6 @@ def match_ds(ds: DsRdata, key: DnskeyRdata, owner: DnsName) -> bool:
 # Denial of existence
 # ---------------------------------------------------------------------------
 
-def _nsec_covers(owner: DnsName, nsec: NsecRdata, qname: DnsName) -> bool:
-    """qname falls in the gap the NSEC spans. A next name that does not sort
-    after the owner marks the chain's wraparound back to the apex, covering
-    everything past the owner."""
-    if canonical_compare(owner, qname) >= 0:
-        return False
-    nxt = nsec.next_name
-    return canonical_compare(qname, nxt) < 0 or canonical_compare(nxt, owner) <= 0
-
-
 def check_denial(qname: DnsName, qtype: int,
                  nsec_witnesses: list[tuple[ResourceRecord, ResourceRecord]],
                  zone_keys: list[DnskeyRdata], now: int) -> DenialOutcome:
@@ -194,8 +184,10 @@ def check_denial(qname: DnsName, qtype: int,
             if qtype not in nsec_record.rdata.type_bitmap:
                 return DenialOutcome(Denial.TYPE_DOES_NOT_EXIST, (nsec_record,))
             return DenialOutcome(Denial.NO_PROOF, (nsec_record,))
+    key = qname.canonical_key()
     for nsec_record in verified:
-        if _nsec_covers(nsec_record.owner, nsec_record.rdata, qname):
+        if nsec_gap_covers(nsec_record.owner.canonical_key(),
+                           nsec_record.rdata.next_name.canonical_key(), key):
             return DenialOutcome(Denial.NAME_DOES_NOT_EXIST, (nsec_record,))
     return DenialOutcome(Denial.NO_PROOF)
 
@@ -364,11 +356,12 @@ def _reason_for(result: SigCheck) -> Reason:
 
 
 def _signer_zone(response: DnsMessage, qname: DnsName, qtype: int) -> DnsName | None:
-    """The zone that must vouch for this response, from its RRSIGs (falling
-    back to the authority SOA/NSEC signer for negative answers)."""
+    """The zone that must vouch for this response, from its RRSIGs over the
+    answer or an alias in its place (falling back to the authority SOA/NSEC
+    signer for negative answers)."""
     for record in response.answers:
         if record.rtype == RType.RRSIG and record.owner == qname \
-                and record.rdata.type_covered == qtype:
+                and record.rdata.type_covered in (qtype, RType.CNAME):
             return record.rdata.signer_name
     for record in response.authority:
         if record.rtype == RType.RRSIG:

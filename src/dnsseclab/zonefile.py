@@ -16,8 +16,8 @@ from typing import Iterator, NamedTuple, TextIO
 
 from .names import DnsName, NameError_
 from .records import (RClass, RType, RdataError, ResourceRecord, RRset,
-                      group_rrsets, rdata_from_text, rtype_from_text,
-                      rtype_to_text, timestamp_to_text)
+                      group_rrsets, nsec_gap_covers, rdata_from_text,
+                      rtype_from_text, rtype_to_text, timestamp_to_text)
 
 
 class ZoneError(ValueError):
@@ -105,8 +105,8 @@ class Zone:
         if i < 0:
             return None
         record, owner_key = tables.nsecs[i], tables.nsec_keys[i]
-        next_key = record.rdata.next_name.canonical_key()
-        if owner_key == key or key < next_key or next_key <= owner_key:
+        if owner_key == key or nsec_gap_covers(
+                owner_key, record.rdata.next_name.canonical_key(), key):
             return record
         return None
 

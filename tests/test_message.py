@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnsseclab.message import (DnsMessage, Edns, Question, Rcode, TooManyRecords,
-                               decode_message, encode_message, make_query)
+                               decode_message, encode_message, make_query, make_reply)
 from dnsseclab.names import DnsName
 from dnsseclab.records import (RDATA_CLASSES, ARdata, NsRdata, OpaqueRdata, RdataError,
                                ResourceRecord, RrsigRdata, RType, SoaRdata)
@@ -57,6 +57,21 @@ def test_query_response_qr_flag():
     response = dataclasses.replace(query, flags=query.flags | {"qr", "aa"})
     assert "qr" in response.flags
     assert decode_message(encode_message(response)).flags == response.flags
+
+
+@pytest.mark.parametrize("rd, edns", [
+    (True, None), (False, Edns(do=True, udp_payload=512)), (True, Edns(udp_payload=1232)),
+], ids=["rd-plain", "do-512", "rd-edns-1232"])
+def test_make_reply_echoes_id_question_rd_and_edns(rd, edns):
+    query = make_query(APEX, RType.MX, id=4242, rd=rd, edns=edns)
+    reply = make_reply(query, "aa", rcode=Rcode.NXDOMAIN)
+    assert reply.id == 4242 and reply.questions == query.questions
+    assert reply.questions is not query.questions
+    assert reply.flags == {"qr", "aa"} | ({"rd"} if rd else set())
+    assert reply.rcode == Rcode.NXDOMAIN
+    assert reply.edns == (Edns(do=edns.do, udp_payload=4096) if edns else None)
+    assert not (reply.answers or reply.authority or reply.additional)
+    assert decode_message(encode_message(reply)) == reply
 
 
 def test_rcode_round_trip():

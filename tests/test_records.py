@@ -9,9 +9,9 @@ from dnsseclab.records import (ARdata, DnskeyRdata, RdataError, ResourceRecord,
                                RRset, RType, TtlMismatchWarning, TxtRdata,
                                canonical_rrset_bytes, decode_type_bitmap,
                                encode_type_bitmap, group_rrsets,
-                               key_tag_from_rdata, rdata_from_text,
-                               rdata_from_wire, timestamp_from_text,
-                               timestamp_to_text)
+                               key_tag_from_rdata, nsec_gap_covers,
+                               rdata_from_text, rdata_from_wire,
+                               timestamp_from_text, timestamp_to_text)
 
 from conftest import random_rdata
 
@@ -95,6 +95,29 @@ def test_type_bitmap_every_one_octet_window_agrees_with_the_encoder(window):
         types = decode_type_bitmap(wire)
         assert types == {(window << 8) | bit for bit in range(8) if octet & (0x80 >> bit)}
         assert encode_type_bitmap(types) == wire
+
+
+# ---------------------------------------------------------------------------
+# NSEC gaps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("owner, nxt, name, covered", [
+    ("a.domaine.ma.", "c.domaine.ma.", "b.domaine.ma.", True),
+    ("a.domaine.ma.", "c.domaine.ma.", "x.b.domaine.ma.", True),
+    ("a.domaine.ma.", "c.domaine.ma.", "a.domaine.ma.", False),
+    ("a.domaine.ma.", "c.domaine.ma.", "c.domaine.ma.", False),
+    ("a.domaine.ma.", "c.domaine.ma.", "d.domaine.ma.", False),
+    ("c.domaine.ma.", "domaine.ma.", "d.domaine.ma.", True),
+    ("c.domaine.ma.", "domaine.ma.", "b.domaine.ma.", False),
+    ("domaine.ma.", "domaine.ma.", "b.domaine.ma.", True),
+    ("domaine.ma.", "domaine.ma.", "domaine.ma.", False),
+], ids=["inside", "below-inside", "owner", "next", "past-next", "wrap", "before-wrap",
+        "lone-nsec", "lone-nsec-owner"])
+def test_nsec_gap_covers(owner, nxt, name, covered):
+    """The gap runs strictly between owner and next name; a next name that
+    does not sort after the owner wraps around past the last owner."""
+    keys = [DnsName.from_text(n).canonical_key() for n in (owner, nxt, name)]
+    assert nsec_gap_covers(*keys) is covered
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import errno
 import random
+import struct
 import sys
 import threading
 
@@ -14,7 +15,7 @@ from dnsseclab.records import ARdata, NsRdata, ResourceRecord, RRset, RType
 from dnsseclab.resolver import (Cache, CacheEntry, HopLimitExceeded,
                                 RecursiveResolver, ResolverConfig,
                                 resolve_iterative)
-from dnsseclab.server import (AuthoritativeService, DnsServer,
+from dnsseclab.server import (AuthoritativeService, DnsServer, GatewayService,
                               answer_authoritative, encode_with_limit,
                               udp_limit_for)
 from dnsseclab.transport import SocketTransport, Timeout, Transport, TransportError
@@ -213,6 +214,22 @@ def test_cname_answer(signed_zone):
     qname = DnsName.from_text("ftp.domaine.ma.")
     reply = answer_authoritative(make_query(qname, RType.A), [signed_zone.zone])
     assert any(r.rtype == RType.CNAME for r in reply.answers)
+
+
+@pytest.mark.parametrize("gateway", [False, True], ids=["authoritative", "gateway"])
+def test_undecodable_query_gets_formerr_with_its_id(signed_zone, gateway):
+    """A client matches a reply by its id, so a FORMERR must carry the id of
+    the query it refuses; a datagram too short for a header gets no reply."""
+    zones = [signed_zone.zone]
+    service = (GatewayService(zones, make_victim(SimNetwork(seed=1))) if gateway
+               else AuthoritativeService(zones))
+    # A header announcing one question, then a name that runs off the end.
+    wire = struct.pack(">HHHHHH", 0xBEEF, 0x0100, 1, 0, 0, 0) + b"\x07domaine"
+    for via_tcp in (False, True):
+        reply = decode_message(service.handle_wire(wire, via_tcp))
+        assert reply.id == 0xBEEF and reply.rcode == Rcode.FORMERR
+        assert "qr" in reply.flags
+        assert service.handle_wire(wire[:3], via_tcp) is None
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +479,66 @@ def test_cache_hit_ttl_decays(signed_zone, parent_zone_signed):
     net.advance(1000)
     reply = resolver.resolve_name(WWW, RType.A)
     assert all(85_000 < r.ttl < 86_400 for r in reply.answers)
+
+
+def test_cached_negative_answer_ttls_stay_within_the_entry(signed_zone, parent_zone_signed):
+    """The negative entry lives min(SOA minimum, 3600) = 3600 s; no record
+    served from it may outlive it."""
+    net = build_hierarchy(signed_zone, parent_zone_signed)
+    resolver = make_victim(net)
+    qname = DnsName.from_text("missing.domaine.ma.")
+    resolver.resolve_name(qname, RType.A, do=True)
+    upstream = net.transactions
+    net.advance(1000)
+    reply = resolver.resolve_name(qname, RType.A, do=True)
+    assert net.transactions == upstream and reply.rcode == Rcode.NXDOMAIN
+    assert {r.rtype for r in reply.authority} == {RType.SOA, RType.NSEC, RType.RRSIG}
+    assert all(r.ttl <= 2_600 for r in reply.authority)
+
+
+@pytest.mark.parametrize("validation", [False, True], ids=["plain", "validating"])
+@pytest.mark.parametrize("do", [False, True], ids=["do0", "do1"])
+@pytest.mark.parametrize("name, qtype, rcode, plain_types, dnssec_types", [
+    ("www.domaine.ma.", RType.A, Rcode.NOERROR, {RType.A}, {RType.RRSIG}),
+    ("ftp.domaine.ma.", RType.A, Rcode.NOERROR, {RType.CNAME}, {RType.RRSIG}),
+    ("www.domaine.ma.", RType.MX, Rcode.NOERROR, {RType.SOA}, {RType.RRSIG, RType.NSEC}),
+    ("missing.domaine.ma.", RType.A, Rcode.NXDOMAIN, {RType.SOA}, {RType.RRSIG, RType.NSEC}),
+    ("missing.domaine.ma.", RType.NSEC, Rcode.NXDOMAIN, {RType.SOA, RType.NSEC},
+     {RType.RRSIG}),
+    ("domaine.ma.", RType.DNSKEY, Rcode.NOERROR, {RType.DNSKEY}, {RType.RRSIG}),
+], ids=["positive", "cname", "nodata", "nxdomain", "nxdomain-nsec", "apex-dnskey"])
+def test_cached_reply_matches_the_fresh_one(signed_zone, parent_zone_signed, ksk,
+                                            name, qtype, rcode, plain_types,
+                                            dnssec_types, do, validation):
+    """Without DO a client sees DNSSEC records only of the type it asked for
+    (`plain_types`); DO adds `dnssec_types`. A cache hit answers alike."""
+    net = build_hierarchy(signed_zone, parent_zone_signed)
+    resolver = make_victim(net, dnssec=validation,
+                           anchors=[TrustAnchor(APEX, ksk.public)])
+    qname = DnsName.from_text(name)
+    fresh = resolver.resolve_name(qname, qtype, do=do)
+    upstream = net.transactions
+    cached = resolver.resolve_name(qname, qtype, do=do)
+    assert net.transactions == upstream
+    assert fresh.rcode == rcode and ("ad" in fresh.flags) == validation
+    assert {r.rtype for r in fresh.answers + fresh.authority} == \
+        plain_types | (dnssec_types if do else set())
+
+    def seen(reply):
+        return (reply.rcode, reply.flags,
+                [(r.owner, r.rtype, r.rclass, r.rdata) for r in reply.answers],
+                [(r.owner, r.rtype, r.rclass, r.rdata) for r in reply.authority])
+
+    assert seen(cached) == seen(fresh)
+
+
+def test_resolve_without_question_is_formerr():
+    resolver = RecursiveResolver([ROOT_ADDR], _TruncatingTransport())
+    stray = ResourceRecord(WWW, RType.A, 1, 60, ARdata("10.0.0.1"))
+    reply = resolver.resolve(DnsMessage(id=9, flags=frozenset({"rd"}), authority=[stray]))
+    assert reply.id == 9 and reply.rcode == Rcode.FORMERR
+    assert reply.flags == {"qr", "ra", "rd"}
+    assert not reply.questions and not reply.answers and not reply.authority
 
 
 # ---------------------------------------------------------------------------
