@@ -390,10 +390,14 @@ class NsecRdata:
     type_bitmap: frozenset[int]
 
     def to_wire(self) -> bytes:
-        return self.next_name.to_wire() + encode_type_bitmap(self.type_bitmap)
+        return self.next_name.to_wire() + self._bitmap_wire
 
     def canonical_wire(self) -> bytes:
-        return self.next_name.canonical_wire() + encode_type_bitmap(self.type_bitmap)
+        return self.next_name.canonical_wire() + self._bitmap_wire
+
+    @cached_property
+    def _bitmap_wire(self) -> bytes:
+        return encode_type_bitmap(self.type_bitmap)
 
     @classmethod
     def from_wire(cls, msg, offset, end):
@@ -559,6 +563,13 @@ class RRset:
             if r.rdata not in rdatas:
                 rdatas.append(r.rdata)
         return cls(first.owner, first.rtype, first.rclass, ttl, tuple(rdatas))
+
+
+def rrsigs_covering(records: Iterable[ResourceRecord], owner: DnsName,
+                    rtype: int) -> list[ResourceRecord]:
+    """The RRSIG records among `records` at `owner` that cover `rtype`."""
+    return [r for r in records if r.rtype == RType.RRSIG and r.owner == owner
+            and r.rdata.type_covered == rtype]
 
 
 class TtlMismatchWarning(UserWarning):

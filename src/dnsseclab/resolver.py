@@ -12,7 +12,7 @@ from typing import Callable
 from .config import RootHints
 from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
-from .records import RRset, RType, group_rrsets
+from .records import RRset, RType, group_rrsets, rrsigs_covering
 from .transport import Timeout, Transport, TransportError
 from .validator import FetchFailure, Security, validate_chain
 
@@ -276,14 +276,11 @@ class RecursiveResolver:
         if msg.rcode not in (Rcode.NOERROR, Rcode.NXDOMAIN):
             return
         if msg.answers:
-            sigs = [r for r in msg.answers if r.rtype == RType.RRSIG]
             for rrset in group_rrsets(r for r in msg.answers
                                       if r.rtype != RType.RRSIG):
-                covering = tuple(s for s in sigs
-                                 if s.owner == rrset.owner
-                                 and s.rdata.type_covered == rrset.rtype)
+                covering = rrsigs_covering(msg.answers, rrset.owner, rrset.rtype)
                 entry = CacheEntry(key=(rrset.owner, rrset.rtype, rrset.rclass),
-                                   rrset=rrset, rrsigs=covering,
+                                   rrset=rrset, rrsigs=tuple(covering),
                                    inserted_at=now, expires_at=now + rrset.ttl,
                                    security=security)
                 self.cache.put(entry, now)

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .message import DnsMessage, Rcode, decode_message, encode_message, make_reply
 from .names import DnsName
-from .records import ResourceRecord, RType
+from .records import RType, rrsigs_covering
 from .transport import TransportError, recv_framed
 from .zonefile import Zone
 
@@ -26,28 +26,28 @@ def find_zone(zones: list, qname: DnsName) -> Zone | None:
                key=lambda zone: len(zone.apex.labels), default=None)
 
 
-def _rrsigs_covering(zone: Zone, owner: DnsName, rtype: int) -> list[ResourceRecord]:
-    return [r for r in zone.records_at(owner, RType.RRSIG)
-            if r.rdata.type_covered == rtype]
-
-
-def _add_with_sigs(zone: Zone, section: list, owner: DnsName, rtype: int,
-                   dnssec: bool) -> bool:
-    records = zone.records_at(owner, rtype)
+def _signed(zone: Zone, records: list) -> list:
+    """One RRset's records followed by the RRSIGs in `zone` that cover it."""
     if not records:
-        return False
-    section.extend(records)
-    if dnssec:
-        section.extend(_rrsigs_covering(zone, owner, rtype))
-    return True
+        return records
+    owner = records[0].owner
+    return records + rrsigs_covering(zone.records_at(owner, RType.RRSIG), owner,
+                                     records[0].rtype)
+
+
+def _nsec_proof(zone: Zone, name: DnsName) -> list:
+    """The NSEC that owns or covers `name`, and its RRSIGs; none when unsigned."""
+    nsec = zone.covering_nsec(name)
+    return _signed(zone, [nsec]) if nsec is not None else []
 
 
 def answer_authoritative(query: DnsMessage, zones: list) -> DnsMessage:
     """Answer one query from authoritative data.
 
     Exact matches get aa answers with RRSIGs when the DO bit is set; names
-    below a delegation get referrals; absent names get NXDOMAIN with the SOA
-    and, under DNSSEC, the covering NSEC witness.
+    below a delegation get referrals; names that own no records get NODATA
+    when some owner lies below them (an empty non-terminal) and NXDOMAIN
+    otherwise, with the SOA and, under DNSSEC, the covering NSEC witness.
     """
     reply = make_reply(query)
     q = query.question
@@ -63,39 +63,30 @@ def answer_authoritative(query: DnsMessage, zones: list) -> DnsMessage:
     cut = zone.deepest_cut(q.name)
     if cut is not None and not (q.name == cut and q.qtype == RType.DS):
         # Referral toward the child zone; never authoritative.
-        reply.authority.extend(zone.records_at(cut, RType.NS))
+        ns = zone.records_at(cut, RType.NS)
+        reply.authority.extend(ns)
         if dnssec:
-            if not _add_with_sigs(zone, reply.authority, cut, RType.DS, dnssec):
-                nsec = zone.covering_nsec(cut)
-                if nsec is not None:
-                    reply.authority.append(nsec)
-                    reply.authority.extend(
-                        _rrsigs_covering(zone, nsec.owner, RType.NSEC))
-        for ns in zone.records_at(cut, RType.NS):
-            target = ns.rdata.target
+            reply.authority.extend(_signed(zone, zone.records_at(cut, RType.DS))
+                                   or _nsec_proof(zone, cut))
+        for record in ns:
+            target = record.rdata.target
             if target.is_subdomain_of(zone.apex):
                 reply.additional.extend(zone.records_at(target, RType.A))
         return reply
 
     reply.flags = reply.flags | {"aa"}
-    if _add_with_sigs(zone, reply.answers, q.name, q.qtype, dnssec):
-        return reply
-    if q.qtype != RType.CNAME and _add_with_sigs(zone, reply.answers, q.name,
-                                                 RType.CNAME, dnssec):
+    answers = zone.records_at(q.name, q.qtype)
+    if not answers and q.qtype != RType.CNAME:
+        answers = zone.records_at(q.name, RType.CNAME)
+    if answers:
+        reply.answers = _signed(zone, answers) if dnssec else answers
         return reply
 
     # Negative answer: NODATA when the name exists, NXDOMAIN otherwise.
-    soa = zone.soa_record
-    reply.authority.append(soa)
-    if dnssec:
-        reply.authority.extend(_rrsigs_covering(zone, zone.apex, RType.SOA))
-    if not zone.records_at(q.name):
+    soa = [zone.soa_record]
+    reply.authority = _signed(zone, soa) + _nsec_proof(zone, q.name) if dnssec else soa
+    if not zone.has_name(q.name):
         reply.rcode = Rcode.NXDOMAIN
-    if dnssec:
-        nsec = zone.covering_nsec(q.name)
-        if nsec is not None:
-            reply.authority.append(nsec)
-            reply.authority.extend(_rrsigs_covering(zone, nsec.owner, RType.NSEC))
     return reply
 
 

@@ -1,19 +1,28 @@
 """RRSIG verification, DS matching, chain-of-trust walking, and NSEC denial
-proofs."""
+proofs.
+
+`validate_chain` walks the links from a trust anchor down to the answer:
+anchor DNSKEY, then DS and child DNSKEY per delegation, then the answer.
+Every link goes through one verification step, `_verified`, which returns
+the key that validated the RRset or raises `_Bogus(reason)`; one handler in
+`validate_chain` turns that into the Bogus outcome with the chain so far.
+Signatures are checked only in `verify_rrsig`, and the validator calls it
+only through `verify_with_any`."""
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import rsa
 from .keystore import ALGORITHMS, TrustAnchor, decode_rsa_public
 from .message import DnsMessage
 from .names import DnsName
 from .records import (DnskeyRdata, DsRdata, ResourceRecord, RRset, RrsigRdata,
-                      RType, canonical_rrset_bytes, nsec_gap_covers)
+                      RType, canonical_rrset_bytes, nsec_gap_covers,
+                      rrsigs_covering)
 
 DS_DIGESTS = {1: "sha1", 2: "sha256"}
 
@@ -122,23 +131,27 @@ def verify_rrsig(rrset: RRset, sig: RrsigRdata, key: DnskeyRdata,
     return SigCheck.BAD_SIGNATURE
 
 
-def verify_with_any(rrset: RRset, sigs: list[RrsigRdata], keys: list[DnskeyRdata],
-                    now: int) -> tuple[SigCheck, RrsigRdata | None, DnskeyRdata | None]:
-    """Try every (signature, tag-matching key) pair; Valid wins.
+#: How bad each failed check is; the worst one names the failure.
+_SEVERITY = {SigCheck.WRONG_KEY: 0, SigCheck.NOT_YET_VALID: 1, SigCheck.EXPIRED: 2,
+             SigCheck.BAD_SIGNATURE: 3}
+
+
+def verify_with_any(rrset: RRset, sigs: list[RrsigRdata], keys: Sequence[DnskeyRdata],
+                    now: int) -> tuple[SigCheck, DnskeyRdata | None]:
+    """Try every (signature, tag-matching key) pair; Valid wins and names its
+    key, else the worst failure is returned.
 
     Key tags collide by construction, so every matching key is attempted.
     """
     worst = SigCheck.WRONG_KEY
-    order = (SigCheck.WRONG_KEY, SigCheck.NOT_YET_VALID, SigCheck.EXPIRED,
-             SigCheck.BAD_SIGNATURE)
     for sig in sigs:
         for key in keys:
             result = verify_rrsig(rrset, sig, key, now)
             if result is SigCheck.VALID:
-                return result, sig, key
-            if order.index(result) > order.index(worst):
+                return result, key
+            if _SEVERITY[result] > _SEVERITY[worst]:
                 worst = result
-    return worst, None, None
+    return worst, None
 
 
 def ds_digest(owner: DnsName, key: DnskeyRdata, digest_type: int) -> bytes:
@@ -164,7 +177,7 @@ def match_ds(ds: DsRdata, key: DnskeyRdata, owner: DnsName) -> bool:
 
 def check_denial(qname: DnsName, qtype: int,
                  nsec_witnesses: list[tuple[ResourceRecord, ResourceRecord]],
-                 zone_keys: list[DnskeyRdata], now: int) -> DenialOutcome:
+                 zone_keys: Sequence[DnskeyRdata], now: int) -> DenialOutcome:
     """Decide what validly signed NSEC witnesses prove about (qname, qtype).
 
     Every witness signature must verify; then either the name is shown absent
@@ -175,7 +188,7 @@ def check_denial(qname: DnsName, qtype: int,
     for nsec_record, sig_record in nsec_witnesses:
         rrset = RRset(nsec_record.owner, RType.NSEC, nsec_record.rclass,
                       nsec_record.ttl, (nsec_record.rdata,))
-        result, _, _ = verify_with_any(rrset, [sig_record.rdata], zone_keys, now)
+        result, _ = verify_with_any(rrset, [sig_record.rdata], zone_keys, now)
         if result is not SigCheck.VALID:
             return DenialOutcome(Denial.INVALID_PROOF, (nsec_record,))
         verified.append(nsec_record)
@@ -196,10 +209,21 @@ def check_denial(qname: DnsName, qtype: int,
 # Chain of trust
 # ---------------------------------------------------------------------------
 
-def _sigs_covering(msg: DnsMessage, owner: DnsName, rtype: int) -> list[RrsigRdata]:
-    return [r.rdata for r in msg.answers
-            if r.rtype == RType.RRSIG and r.owner == owner
-            and r.rdata.type_covered == rtype]
+class _Bogus(Exception):
+    """A link of the chain failed; `validate_chain` turns it into the Bogus
+    outcome."""
+
+    def __init__(self, reason: Reason):
+        super().__init__(reason.value)
+        self.reason = reason
+
+
+#: The Bogus reason for each failed signature check.
+_SIG_REASONS = {SigCheck.WRONG_KEY: Reason.MISSING_DNSKEY,
+                SigCheck.NOT_YET_VALID: Reason.NOT_YET_VALID,
+                SigCheck.EXPIRED: Reason.EXPIRED,
+                SigCheck.BAD_SIGNATURE: Reason.BAD_SIGNATURE}
+_PROVEN = (Denial.NAME_DOES_NOT_EXIST, Denial.TYPE_DOES_NOT_EXIST)
 
 
 def _rrset_from(msg: DnsMessage, owner: DnsName, rtype: int) -> RRset | None:
@@ -219,42 +243,33 @@ def _closest_anchor(qname: DnsName, anchors: list[TrustAnchor]) -> TrustAnchor |
 def nsec_witnesses(msg: DnsMessage) -> list[tuple[ResourceRecord, ResourceRecord]]:
     """Pair each NSEC in the authority section with its covering RRSIG; the
     response's authority section is where proof material travels."""
-    pairs = []
-    for record in msg.authority:
-        if record.rtype != RType.NSEC:
-            continue
-        for sig in msg.authority:
-            if (sig.rtype == RType.RRSIG and sig.owner == record.owner
-                    and sig.rdata.type_covered == RType.NSEC):
-                pairs.append((record, sig))
-    return pairs
+    return [(record, sig) for record in msg.authority if record.rtype == RType.NSEC
+            for sig in rrsigs_covering(msg.authority, record.owner, RType.NSEC)]
 
 
-@dataclass
-class _ZoneKeys:
-    apex: DnsName
-    keys: list
-    entry_tag: int
-
-
-def _validate_zone_keys(zone: DnsName, dnskey_msg: DnsMessage,
-                        trusted: Callable[[DnskeyRdata], bool],
-                        mismatch: Reason,
-                        now: int) -> tuple[_ZoneKeys | None, Reason]:
-    """Validate a zone's DNSKEY RRset: some trusted KSK in the set must sign it."""
-    records = [r for r in dnskey_msg.answers
-               if r.rtype == RType.DNSKEY and r.owner == zone]
-    if not records:
-        return None, Reason.MISSING_DNSKEY
-    rrset = RRset.from_records(records)
-    sigs = _sigs_covering(dnskey_msg, zone, RType.DNSKEY)
-    entry_keys = [r.rdata for r in records if trusted(r.rdata)]
-    if not entry_keys:
-        return None, mismatch
-    result, _, used = verify_with_any(rrset, sigs, entry_keys, now)
+def _verified(rrset: RRset, msg: DnsMessage, keys: tuple[DnskeyRdata, ...],
+              now: int) -> DnskeyRdata:
+    """The one verification step of the walk: the key under which an RRSIG
+    in `msg`'s answer section validates `rrset`; else raises `_Bogus`."""
+    sigs = [r.rdata for r in rrsigs_covering(msg.answers, rrset.owner, rrset.rtype)]
+    result, key = verify_with_any(rrset, sigs, keys, now)
     if result is not SigCheck.VALID:
-        return None, _reason_for(result)
-    return _ZoneKeys(zone, [r.rdata for r in records], used.key_tag()), mismatch
+        raise _Bogus(_SIG_REASONS[result])
+    return key
+
+
+def _zone_keys(zone: DnsName, msg: DnsMessage, trusted: Callable[[DnskeyRdata], bool],
+               mismatch: Reason, chain: list, now: int) -> tuple[DnskeyRdata, ...]:
+    """A zone's DNSKEY set, once a trusted key in it has signed it; the link
+    (zone, tag of that key) joins `chain`."""
+    rrset = _rrset_from(msg, zone, RType.DNSKEY)
+    if rrset is None:
+        raise _Bogus(Reason.MISSING_DNSKEY)
+    entry_keys = [key for key in rrset.rdatas if trusted(key)]
+    if not entry_keys:
+        raise _Bogus(mismatch)
+    chain.append((zone, _verified(rrset, msg, entry_keys, now).key_tag()))
+    return rrset.rdatas
 
 
 def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
@@ -272,87 +287,48 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
     if anchor is None:
         return ValidationOutcome(Security.INSECURE, Reason.NO_ANCHOR)
     fetch = _guarded(fetch)
-
-    # Signed answers name their zone; otherwise walk the whole way to the
-    # qname so an unsigned delegation en route can downgrade to Insecure.
-    target_zone = _signer_zone(response, qname, qtype) or qname
-    if not target_zone.is_subdomain_of(anchor.zone):
-        return ValidationOutcome(Security.BOGUS, Reason.ANCHOR_MISMATCH)
-
     chain: list[tuple[DnsName, int]] = []
-    zone_keys, failure = _validate_zone_keys(
-        anchor.zone, fetch(anchor.zone, RType.DNSKEY),
-        lambda key: key == anchor.dnskey, Reason.ANCHOR_MISMATCH, now)
-    if zone_keys is None:
-        return ValidationOutcome(Security.BOGUS, failure, tuple(chain))
-    chain.append((anchor.zone, zone_keys.entry_tag))
-
-    # Descend one label at a time from the anchor zone toward the signer zone.
-    missing = target_zone.labels[: len(target_zone.labels) - len(anchor.zone.labels)]
-    current = anchor.zone
-    for label in reversed(missing):
-        child = DnsName((label,) + current.labels)
-        ds_msg = fetch(child, RType.DS)
-        ds_rrset = _rrset_from(ds_msg, child, RType.DS)
-        if ds_rrset is not None:
-            ds_sigs = _sigs_covering(ds_msg, child, RType.DS)
-            result, _, _ = verify_with_any(ds_rrset, ds_sigs, zone_keys.keys, now)
-            if result is not SigCheck.VALID:
-                return ValidationOutcome(Security.BOGUS, _reason_for(result),
+    try:
+        # Signed answers name their zone; otherwise walk the whole way to the
+        # qname so an unsigned delegation en route can downgrade to Insecure.
+        target = _signer_zone(response, qname, qtype) or qname
+        if not target.is_subdomain_of(anchor.zone):
+            raise _Bogus(Reason.ANCHOR_MISMATCH)
+        keys = _zone_keys(anchor.zone, fetch(anchor.zone, RType.DNSKEY),
+                          lambda key: key == anchor.dnskey, Reason.ANCHOR_MISMATCH,
+                          chain, now)
+        # Descend through the suffixes of the signer zone below the anchor.
+        for depth in range(len(anchor.zone.labels) + 1, len(target.labels) + 1):
+            child = DnsName(target.labels[-depth:])
+            ds_msg = fetch(child, RType.DS)
+            ds_rrset = _rrset_from(ds_msg, child, RType.DS)
+            if ds_rrset is not None:
+                _verified(ds_rrset, ds_msg, keys, now)
+                keys = _zone_keys(child, fetch(child, RType.DNSKEY),
+                                  lambda key: any(match_ds(ds, key, child)
+                                                  for ds in ds_rrset.rdatas),
+                                  Reason.DS_MISMATCH, chain, now)
+                continue
+            # No DS RRset: a validated NSEC must say whether this is a real
+            # delegation (then insecure) or no cut at all (then keep walking).
+            denial = check_denial(child, RType.DS, nsec_witnesses(ds_msg), keys, now)
+            if denial.kind not in _PROVEN:
+                raise _Bogus(Reason.MISSING_DS_PROOF)
+            if (denial.kind is Denial.TYPE_DOES_NOT_EXIST
+                    and RType.NS in denial.witness[0].rdata.type_bitmap):
+                return ValidationOutcome(Security.INSECURE, Reason.UNSIGNED_DELEGATION,
                                          tuple(chain))
-            child_keys, failure = _validate_zone_keys(
-                child, fetch(child, RType.DNSKEY),
-                lambda key, _ds=ds_rrset, _child=child: any(
-                    match_ds(ds, key, _child) for ds in _ds.rdatas),
-                Reason.DS_MISMATCH, now)
-            if child_keys is None:
-                return ValidationOutcome(Security.BOGUS, failure, tuple(chain))
-            zone_keys = child_keys
-            chain.append((child, child_keys.entry_tag))
-            current = child
-            continue
-        # No DS RRset: a validated NSEC must say whether this is a real
-        # delegation (then insecure) or no cut at all (then keep walking).
-        denial = check_denial(child, RType.DS, nsec_witnesses(ds_msg),
-                              zone_keys.keys, now)
-        if denial.kind is Denial.TYPE_DOES_NOT_EXIST:
-            witness = denial.witness[0]
-            if RType.NS in witness.rdata.type_bitmap:
-                return ValidationOutcome(Security.INSECURE,
-                                         Reason.UNSIGNED_DELEGATION, tuple(chain))
-            current = child  # same zone continues below this name
-            continue
-        if denial.kind is Denial.NAME_DOES_NOT_EXIST:
-            current = child
-            continue
-        return ValidationOutcome(Security.BOGUS, Reason.MISSING_DS_PROOF,
-                                 tuple(chain))
-
-    answer_rrset = _rrset_from(response, qname, qtype)
-    answer_type = qtype
-    if answer_rrset is None and qtype != RType.CNAME:
-        # answered with an alias instead of the asked type
-        answer_rrset = _rrset_from(response, qname, RType.CNAME)
-        answer_type = RType.CNAME
-    if answer_rrset is None:
-        denial = check_denial(qname, qtype, nsec_witnesses(response),
-                              zone_keys.keys, now)
-        if denial.kind in (Denial.NAME_DOES_NOT_EXIST, Denial.TYPE_DOES_NOT_EXIST):
-            return ValidationOutcome(Security.SECURE, None, tuple(chain))
-        return ValidationOutcome(Security.BOGUS, Reason.INVALID_DENIAL, tuple(chain))
-    sigs = _sigs_covering(response, qname, answer_type)
-    result, _, _ = verify_with_any(answer_rrset, sigs, zone_keys.keys, now)
-    if result is not SigCheck.VALID:
-        return ValidationOutcome(Security.BOGUS, _reason_for(result), tuple(chain))
+        # The answer, or an alias in place of the asked type.
+        answer = (_rrset_from(response, qname, qtype)
+                  or _rrset_from(response, qname, RType.CNAME))
+        if answer is not None:
+            _verified(answer, response, keys, now)
+        elif check_denial(qname, qtype, nsec_witnesses(response),
+                          keys, now).kind not in _PROVEN:
+            raise _Bogus(Reason.INVALID_DENIAL)
+    except _Bogus as bogus:
+        return ValidationOutcome(Security.BOGUS, bogus.reason, tuple(chain))
     return ValidationOutcome(Security.SECURE, None, tuple(chain))
-
-
-def _reason_for(result: SigCheck) -> Reason:
-    return {
-        SigCheck.EXPIRED: Reason.EXPIRED,
-        SigCheck.NOT_YET_VALID: Reason.NOT_YET_VALID,
-        SigCheck.WRONG_KEY: Reason.MISSING_DNSKEY,
-    }.get(result, Reason.BAD_SIGNATURE)
 
 
 def _signer_zone(response: DnsMessage, qname: DnsName, qtype: int) -> DnsName | None:

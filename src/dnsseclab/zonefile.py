@@ -6,7 +6,6 @@ strings, and base64 continuation for DNSKEY/RRSIG payloads.
 
 from __future__ import annotations
 
-import base64
 import bisect
 import io
 from collections import Counter
@@ -17,7 +16,7 @@ from typing import Iterator, NamedTuple, TextIO
 from .names import DnsName, NameError_
 from .records import (RClass, RType, RdataError, ResourceRecord, RRset,
                       group_rrsets, nsec_gap_covers, rdata_from_text,
-                      rtype_from_text, rtype_to_text, timestamp_to_text)
+                      rtype_from_text)
 
 
 class ZoneError(ValueError):
@@ -44,6 +43,7 @@ class _Tables(NamedTuple):
     size: int        # len(records) when built
     by_owner: dict   # owner -> rtype -> records, in record order
     cuts: frozenset  # owners of NS RRsets below the apex
+    names: frozenset  # the owners and their ancestors up to the apex
     nsec_keys: list  # canonical keys of the NSEC owners, sorted
     nsecs: list      # the NSEC records, in nsec_keys order
 
@@ -67,9 +67,17 @@ class Zone:
                 by_owner.setdefault(record.owner, {}).setdefault(record.rtype, []).append(record)
             cuts = frozenset(owner for owner, types in by_owner.items()
                              if RType.NS in types and owner != self.apex)
+            names = set()
+            for name in by_owner:
+                while name not in names:
+                    names.add(name)
+                    if len(name.labels) <= len(self.apex.labels):
+                        break
+                    name = name.parent()
             nsecs = sorted((r for r in self.records if r.rtype == RType.NSEC),
                            key=lambda r: r.owner.canonical_key())
             tables = self._tables = _Tables(len(self.records), by_owner, cuts,
+                                            frozenset(names),
                                             [r.owner.canonical_key() for r in nsecs], nsecs)
         return tables
 
@@ -109,6 +117,11 @@ class Zone:
                 owner_key, record.rdata.next_name.canonical_key(), key):
             return record
         return None
+
+    def has_name(self, name: DnsName) -> bool:
+        """True when `name` owns records or is an ancestor of an owner up to
+        the apex, an empty non-terminal (RFC 4592 §2.2.2)."""
+        return name in self._index().names
 
     def owners(self) -> set[DnsName]:
         return set(self._index().by_owner)
@@ -352,18 +365,13 @@ def _wrap_base64(first_part: str, b64: str, comment: str = "") -> str:
 def _format_record(record: ResourceRecord, origin: DnsName) -> str:
     owner = record.owner.relativize(origin)
     lead = f"{owner}\t{record.ttl}\tIN\t{RType(record.rtype).name}"
-    rdata = record.rdata
-    if record.rtype == RType.DNSKEY:
-        head = f"{lead}\t{rdata.flags} {rdata.protocol} {rdata.algorithm}"
-        b64 = base64.b64encode(rdata.public_key).decode("ascii")
-        return _wrap_base64(head, b64, f"key id = {rdata.key_tag()}")
-    if record.rtype == RType.RRSIG:
-        head = (f"{lead}\t{rtype_to_text(rdata.type_covered)} {rdata.algorithm} "
-                f"{rdata.labels} {rdata.original_ttl} {timestamp_to_text(rdata.expiration)} "
-                f"{timestamp_to_text(rdata.inception)} {rdata.key_tag} "
-                f"{rdata.signer_name.to_text()}")
-        return _wrap_base64(head, base64.b64encode(rdata.signature).decode("ascii"))
-    return f"{lead}\t{rdata.to_text(origin)}"
+    text = record.rdata.to_text(origin)
+    if record.rtype not in (RType.DNSKEY, RType.RRSIG):
+        return f"{lead}\t{text}"
+    # The base64 field comes last; wrap it on lines of its own.
+    head, b64 = text.rsplit(" ", 1)
+    comment = f"key id = {record.rdata.key_tag()}" if record.rtype == RType.DNSKEY else ""
+    return _wrap_base64(f"{lead}\t{head}", b64, comment)
 
 
 def serialize_zone(zone: Zone) -> str:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dnsseclab.names import DnsName
-from dnsseclab.records import (ARdata, DnskeyRdata, RdataError, ResourceRecord,
-                               RRset, RType, TtlMismatchWarning, TxtRdata,
+from dnsseclab.records import (ARdata, DnskeyRdata, NsecRdata, RdataError,
+                               ResourceRecord, RrsigRdata, RRset, RType,
+                               TtlMismatchWarning, TxtRdata,
                                canonical_rrset_bytes, decode_type_bitmap,
                                encode_type_bitmap, group_rrsets,
                                key_tag_from_rdata, nsec_gap_covers,
                                rdata_from_text, rdata_from_wire,
-                               timestamp_from_text, timestamp_to_text)
+                               rrsigs_covering, timestamp_from_text,
+                               timestamp_to_text)
 
 from conftest import random_rdata
 
@@ -73,6 +75,22 @@ def test_type_bitmap_known_encoding():
     assert decode_type_bitmap(wire) == frozenset({1, 15, 46, 47})
 
 
+def test_nsec_bitmap_is_encoded_once_per_instance(monkeypatch):
+    calls = []
+
+    def counting(types):
+        calls.append(types)
+        return encode_type_bitmap(types)
+
+    monkeypatch.setattr("dnsseclab.records.encode_type_bitmap", counting)
+    nsec = NsecRdata(DnsName.from_text("b.example."), frozenset({1, 15, 46, 47}))
+    wires = {nsec.to_wire(), nsec.to_wire()}
+    canonical = {nsec.canonical_wire(), nsec.canonical_wire()}
+    assert len(calls) == 1
+    assert wires == {b"\x01b\x07example\x00" + encode_type_bitmap({1, 15, 46, 47})}
+    assert canonical == wires
+
+
 @pytest.mark.parametrize("wire", [
     b"\x00\x02\x40\x00",
     b"\x00\x00",
@@ -118,6 +136,22 @@ def test_nsec_gap_covers(owner, nxt, name, covered):
     does not sort after the owner wraps around past the last owner."""
     keys = [DnsName.from_text(n).canonical_key() for n in (owner, nxt, name)]
     assert nsec_gap_covers(*keys) is covered
+
+
+def test_rrsigs_covering_matches_owner_and_covered_type():
+    www, mail = DnsName.from_text("www.example."), DnsName.from_text("mail.example.")
+
+    def rrsig(owner, covered):
+        rdata = RrsigRdata(covered, 5, 2, 300, 2, 1, 7, DnsName.from_text("example."), b"s")
+        return ResourceRecord(owner, RType.RRSIG, 1, 300, rdata)
+
+    www_a, www_mx, mail_a = rrsig(www, RType.A), rrsig(www, RType.MX), rrsig(mail, RType.A)
+    section = [ResourceRecord(www, RType.A, 1, 300, ARdata("10.0.0.1")),
+               mail_a, www_mx, www_a, www_a]
+    assert rrsigs_covering(section, DnsName.from_text("WWW.example."), RType.A) \
+        == [www_a, www_a]
+    assert rrsigs_covering(section, www, RType.MX) == [www_mx]
+    assert rrsigs_covering(section, mail, RType.MX) == []
 
 
 # ---------------------------------------------------------------------------

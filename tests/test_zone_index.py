@@ -110,8 +110,8 @@ def ref_answer(query, zone):
     reply.authority.append(soa)
     if dnssec:
         reply.authority.extend(ref_sigs(zone, zone.apex, RType.SOA))
-    if not ref_records_at(zone, q.name):
-        reply.rcode = Rcode.NXDOMAIN
+    if not any(r.owner.is_subdomain_of(q.name) for r in zone.records):
+        reply.rcode = Rcode.NXDOMAIN  # not even an empty non-terminal
     if dnssec:
         nsec = ref_covering_nsec(zone, q.name)
         if nsec is not None:
