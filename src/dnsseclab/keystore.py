@@ -27,6 +27,9 @@ ALGORITHMS = {
 }
 
 _SELF_TEST_PROBE = b"dnsseclab key correspondence probe"
+#: Longest public exponent accepted, in octets: a long exponent makes every
+#: verification slow.
+MAX_EXPONENT_OCTETS = 8
 
 
 class KeystoreError(ValueError):
@@ -83,16 +86,25 @@ def encode_rsa_public(key: rsa.RsaPublicKey) -> bytes:
 
 
 def decode_rsa_public(data: bytes) -> rsa.RsaPublicKey:
+    """The RSA key in a DNSKEY public key field (RFC 3110 §2). `ParseError`
+    unless the exponent has at most `MAX_EXPONENT_OCTETS` octets and the
+    modulus, without leading zero octets, has `rsa.MIN_MODULUS_BITS` to
+    `rsa.MAX_MODULUS_BITS` bits, so a field that passes has at most 523 octets."""
     if not data:
         raise ParseError("empty RSA public key field")
     if data[0]:
         elen, offset = data[0], 1
     else:
         elen, offset = int.from_bytes(data[1:3], "big"), 3
+    if elen > MAX_EXPONENT_OCTETS:
+        raise ParseError(f"RSA exponent of {elen} octets")
     e = int.from_bytes(data[offset : offset + elen], "big")
-    n = int.from_bytes(data[offset + elen :], "big")
-    if not e or not n:
+    modulus = data[offset + elen :]
+    n = int.from_bytes(modulus, "big")
+    if not e or not n or not modulus[0]:
         raise ParseError("malformed RSA public key field")
+    if not rsa.MIN_MODULUS_BITS <= n.bit_length() <= rsa.MAX_MODULUS_BITS:
+        raise ParseError(f"RSA modulus of {n.bit_length()} bits")
     return rsa.RsaPublicKey(n, e)
 
 

@@ -121,9 +121,7 @@ def decode_type_bitmap(data: bytes) -> frozenset[int]:
 def key_tag_from_rdata(rdata: bytes) -> int:
     """Ones-complement-style checksum over DNSKEY RDATA octets: even-index
     octets weigh 256, odd-index octets 1, carries folded, masked to 16 bits."""
-    acc = 0
-    for i, octet in enumerate(rdata):
-        acc += octet if i & 1 else octet << 8
+    acc = (sum(rdata[0::2]) << 8) + sum(rdata[1::2])
     acc += (acc >> 16) & 0xFFFF
     return acc & 0xFFFF
 
@@ -307,10 +305,6 @@ class DnskeyRdata:
     canonical_wire = to_wire
 
     def key_tag(self) -> int:
-        return self._key_tag
-
-    @cached_property
-    def _key_tag(self) -> int:
         return key_tag_from_rdata(self.to_wire())
 
     @classmethod

@@ -14,7 +14,7 @@ from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
 from .records import RRset, RType, group_rrsets, rrsigs_covering
 from .transport import Timeout, Transport, TransportError
-from .validator import FetchFailure, Security, validate_chain
+from .validator import FetchFailure, Security, SignatureMemo, validate_chain
 
 MAX_NEGATIVE_TTL = 3600
 HOP_LIMIT = 16
@@ -167,7 +167,8 @@ class ResolverConfig:
 
 
 class RecursiveResolver:
-    """Does all the work for a client: cache, iteration, validation."""
+    """Does all the work for a client: cache, iteration, validation. It owns
+    the memo of signature checks that passed, shared by all its lookups."""
 
     def __init__(self, hints: RootHints | list[str], transport: Transport,
                  cache: Cache | None = None,
@@ -181,6 +182,7 @@ class RecursiveResolver:
         self.cache = cache if cache is not None else Cache()
         self.config = config or ResolverConfig()
         self.clock = clock
+        self.signature_memo = SignatureMemo()
 
     # -- public entry points ---------------------------------------------
 
@@ -237,7 +239,8 @@ class RecursiveResolver:
         if self.config.dnssec_enabled:
             outcome = validate_chain(msg, qname, qtype,
                                      list(self.config.anchors),
-                                     self._validation_fetch(), int(now))
+                                     self._validation_fetch(), int(now),
+                                     self.signature_memo)
             if outcome.status is Security.BOGUS:
                 raise ServFail(f"validation failed: {outcome.reason}")
             security = outcome.status

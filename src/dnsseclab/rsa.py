@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 
 PUBLIC_EXPONENT = 65537
+#: Modulus sizes, in bits, that keys are made with and accepted at (RFC 3110).
+MIN_MODULUS_BITS, MAX_MODULUS_BITS = 512, 4096
 
 _SMALL_PRIMES = [n for n in range(3, 1000)
                  if all(n % d for d in range(2, int(n ** 0.5) + 1))]
@@ -103,8 +105,9 @@ class RsaPrivateKey:
 
 
 def generate_keypair(bits: int, rng: random.Random) -> RsaPrivateKey:
-    if not 512 <= bits <= 4096:
-        raise RsaError(f"modulus size {bits} out of the 512..4096 range")
+    if not MIN_MODULUS_BITS <= bits <= MAX_MODULUS_BITS:
+        raise RsaError(f"modulus size {bits} out of the "
+                       f"{MIN_MODULUS_BITS}..{MAX_MODULUS_BITS} range")
     p_bits = (bits + 1) // 2
     q_bits = bits - p_bits
     p = _generate_prime(p_bits, rng)

@@ -7,24 +7,39 @@ Every link goes through one verification step, `_verified`, which returns
 the key that validated the RRset or raises `_Bogus(reason)`; one handler in
 `validate_chain` turns that into the Bogus outcome with the chain so far.
 Signatures are checked only in `verify_rrsig`, and the validator calls it
-only through `verify_with_any`."""
+only through `verify_with_any`.
+
+A `SignatureMemo` remembers the signature checks that passed; a
+`RecursiveResolver` owns one and hands it to every `validate_chain`, which
+passes it down the walk. Only `verify_rrsig` reads or writes it, and only
+after the key tag, algorithm, type, owner, label count and validity window
+have been checked, so a remembered pass never outlives its RRSIG. Failed
+checks are never remembered. A negative answer is Secure only when its
+proven denial fits its rcode: NXDOMAIN needs the name shown absent, NOERROR
+the type, or an empty non-terminal (a covering NSEC whose next name lies
+below the qname)."""
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 from . import rsa
 from .keystore import ALGORITHMS, TrustAnchor, decode_rsa_public
-from .message import DnsMessage
+from .message import DnsMessage, Rcode
 from .names import DnsName
 from .records import (DnskeyRdata, DsRdata, ResourceRecord, RRset, RrsigRdata,
                       RType, canonical_rrset_bytes, nsec_gap_covers,
                       rrsigs_covering)
 
 DS_DIGESTS = {1: "sha1", 2: "sha256"}
+#: Most passed checks a `SignatureMemo` holds: as many as a resolver's
+#: default cache holds entries.
+MEMO_CAPACITY = 4096
 
 
 class UnsupportedDigest(ValueError):
@@ -101,12 +116,42 @@ class DenialOutcome:
 # Signature verification
 # ---------------------------------------------------------------------------
 
-def verify_rrsig(rrset: RRset, sig: RrsigRdata, key: DnskeyRdata,
-                 now: int) -> SigCheck:
+class SignatureMemo:
+    """Signature checks that passed, least recently used first out, at most
+    `MEMO_CAPACITY` of them. Lookups and inserts are atomic: a resolver
+    validates from many threads."""
+
+    def __init__(self):
+        self._passed: OrderedDict[tuple, None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._passed)
+
+    def __contains__(self, check: tuple) -> bool:
+        with self._lock:
+            if check not in self._passed:
+                return False
+            self._passed.move_to_end(check)
+            return True
+
+    def add(self, check: tuple) -> None:
+        with self._lock:
+            self._passed[check] = None
+            self._passed.move_to_end(check)
+            while len(self._passed) > MEMO_CAPACITY:
+                self._passed.popitem(last=False)
+
+
+def verify_rrsig(rrset: RRset, sig: RrsigRdata, key: DnskeyRdata, now: int,
+                 memo: SignatureMemo | None = None) -> SigCheck:
     """Check one RRSIG over an RRset under one DNSKEY at time `now`.
 
     The canonical form substitutes the RRSIG's original TTL for the live TTL,
-    so cache-aged copies still verify.
+    so cache-aged copies still verify. A check whose whole input (key RDATA,
+    signature, signed data) already passed under `memo` is Valid without
+    public-key work; a caller that passes no memo gets a fresh one.
     """
     if (sig.key_tag != key.key_tag() or sig.algorithm != key.algorithm
             or sig.type_covered != rrset.rtype
@@ -122,13 +167,18 @@ def verify_rrsig(rrset: RRset, sig: RrsigRdata, key: DnskeyRdata,
     if digest is None:
         return SigCheck.BAD_SIGNATURE
     data = sig.signed_prefix() + canonical_rrset_bytes(rrset, sig.original_ttl)
+    check = (key.to_wire(), sig.signature, hashlib.sha256(data).digest())
+    memo = SignatureMemo() if memo is None else memo
+    if check in memo:
+        return SigCheck.VALID
     try:
         public = decode_rsa_public(key.public_key)
     except ValueError:
         return SigCheck.BAD_SIGNATURE
-    if rsa.verify(public, data, sig.signature, digest):
-        return SigCheck.VALID
-    return SigCheck.BAD_SIGNATURE
+    if not rsa.verify(public, data, sig.signature, digest):
+        return SigCheck.BAD_SIGNATURE
+    memo.add(check)
+    return SigCheck.VALID
 
 
 #: How bad each failed check is; the worst one names the failure.
@@ -137,7 +187,8 @@ _SEVERITY = {SigCheck.WRONG_KEY: 0, SigCheck.NOT_YET_VALID: 1, SigCheck.EXPIRED:
 
 
 def verify_with_any(rrset: RRset, sigs: list[RrsigRdata], keys: Sequence[DnskeyRdata],
-                    now: int) -> tuple[SigCheck, DnskeyRdata | None]:
+                    now: int, memo: SignatureMemo | None = None,
+                    ) -> tuple[SigCheck, DnskeyRdata | None]:
     """Try every (signature, tag-matching key) pair; Valid wins and names its
     key, else the worst failure is returned.
 
@@ -146,7 +197,7 @@ def verify_with_any(rrset: RRset, sigs: list[RrsigRdata], keys: Sequence[DnskeyR
     worst = SigCheck.WRONG_KEY
     for sig in sigs:
         for key in keys:
-            result = verify_rrsig(rrset, sig, key, now)
+            result = verify_rrsig(rrset, sig, key, now, memo)
             if result is SigCheck.VALID:
                 return result, key
             if _SEVERITY[result] > _SEVERITY[worst]:
@@ -177,7 +228,8 @@ def match_ds(ds: DsRdata, key: DnskeyRdata, owner: DnsName) -> bool:
 
 def check_denial(qname: DnsName, qtype: int,
                  nsec_witnesses: list[tuple[ResourceRecord, ResourceRecord]],
-                 zone_keys: Sequence[DnskeyRdata], now: int) -> DenialOutcome:
+                 zone_keys: Sequence[DnskeyRdata], now: int,
+                 memo: SignatureMemo | None = None) -> DenialOutcome:
     """Decide what validly signed NSEC witnesses prove about (qname, qtype).
 
     Every witness signature must verify; then either the name is shown absent
@@ -188,7 +240,7 @@ def check_denial(qname: DnsName, qtype: int,
     for nsec_record, sig_record in nsec_witnesses:
         rrset = RRset(nsec_record.owner, RType.NSEC, nsec_record.rclass,
                       nsec_record.ttl, (nsec_record.rdata,))
-        result, _ = verify_with_any(rrset, [sig_record.rdata], zone_keys, now)
+        result, _ = verify_with_any(rrset, [sig_record.rdata], zone_keys, now, memo)
         if result is not SigCheck.VALID:
             return DenialOutcome(Denial.INVALID_PROOF, (nsec_record,))
         verified.append(nsec_record)
@@ -248,18 +300,19 @@ def nsec_witnesses(msg: DnsMessage) -> list[tuple[ResourceRecord, ResourceRecord
 
 
 def _verified(rrset: RRset, msg: DnsMessage, keys: tuple[DnskeyRdata, ...],
-              now: int) -> DnskeyRdata:
+              now: int, memo: SignatureMemo) -> DnskeyRdata:
     """The one verification step of the walk: the key under which an RRSIG
     in `msg`'s answer section validates `rrset`; else raises `_Bogus`."""
     sigs = [r.rdata for r in rrsigs_covering(msg.answers, rrset.owner, rrset.rtype)]
-    result, key = verify_with_any(rrset, sigs, keys, now)
+    result, key = verify_with_any(rrset, sigs, keys, now, memo)
     if result is not SigCheck.VALID:
         raise _Bogus(_SIG_REASONS[result])
     return key
 
 
 def _zone_keys(zone: DnsName, msg: DnsMessage, trusted: Callable[[DnskeyRdata], bool],
-               mismatch: Reason, chain: list, now: int) -> tuple[DnskeyRdata, ...]:
+               mismatch: Reason, chain: list, now: int,
+               memo: SignatureMemo) -> tuple[DnskeyRdata, ...]:
     """A zone's DNSKEY set, once a trusted key in it has signed it; the link
     (zone, tag of that key) joins `chain`."""
     rrset = _rrset_from(msg, zone, RType.DNSKEY)
@@ -268,25 +321,28 @@ def _zone_keys(zone: DnsName, msg: DnsMessage, trusted: Callable[[DnskeyRdata], 
     entry_keys = [key for key in rrset.rdatas if trusted(key)]
     if not entry_keys:
         raise _Bogus(mismatch)
-    chain.append((zone, _verified(rrset, msg, entry_keys, now).key_tag()))
+    chain.append((zone, _verified(rrset, msg, entry_keys, now, memo).key_tag()))
     return rrset.rdatas
 
 
 def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
                    anchors: list[TrustAnchor],
                    fetch: Callable[[DnsName, int], DnsMessage],
-                   now: int) -> ValidationOutcome:
+                   now: int, memo: SignatureMemo | None = None) -> ValidationOutcome:
     """Walk the chain of trust from the closest enclosing anchor down to the
     zone that signed the answer, then validate the answer itself (or, for a
     negative response, its NSEC denial).
 
     Secure needs every link to hold; Insecure means no anchor applies or a
     parent validly proves an unsigned delegation; anything broken is Bogus.
+    Signature checks that passed are remembered in `memo`, a fresh one for
+    this call when the caller passes none.
     """
     anchor = _closest_anchor(qname, anchors)
     if anchor is None:
         return ValidationOutcome(Security.INSECURE, Reason.NO_ANCHOR)
     fetch = _guarded(fetch)
+    memo = SignatureMemo() if memo is None else memo
     chain: list[tuple[DnsName, int]] = []
     try:
         # Signed answers name their zone; otherwise walk the whole way to the
@@ -296,22 +352,23 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
             raise _Bogus(Reason.ANCHOR_MISMATCH)
         keys = _zone_keys(anchor.zone, fetch(anchor.zone, RType.DNSKEY),
                           lambda key: key == anchor.dnskey, Reason.ANCHOR_MISMATCH,
-                          chain, now)
+                          chain, now, memo)
         # Descend through the suffixes of the signer zone below the anchor.
         for depth in range(len(anchor.zone.labels) + 1, len(target.labels) + 1):
             child = DnsName(target.labels[-depth:])
             ds_msg = fetch(child, RType.DS)
             ds_rrset = _rrset_from(ds_msg, child, RType.DS)
             if ds_rrset is not None:
-                _verified(ds_rrset, ds_msg, keys, now)
+                _verified(ds_rrset, ds_msg, keys, now, memo)
                 keys = _zone_keys(child, fetch(child, RType.DNSKEY),
                                   lambda key: any(match_ds(ds, key, child)
                                                   for ds in ds_rrset.rdatas),
-                                  Reason.DS_MISMATCH, chain, now)
+                                  Reason.DS_MISMATCH, chain, now, memo)
                 continue
             # No DS RRset: a validated NSEC must say whether this is a real
             # delegation (then insecure) or no cut at all (then keep walking).
-            denial = check_denial(child, RType.DS, nsec_witnesses(ds_msg), keys, now)
+            denial = check_denial(child, RType.DS, nsec_witnesses(ds_msg), keys, now,
+                                  memo)
             if denial.kind not in _PROVEN:
                 raise _Bogus(Reason.MISSING_DS_PROOF)
             if (denial.kind is Denial.TYPE_DOES_NOT_EXIST
@@ -322,13 +379,26 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
         answer = (_rrset_from(response, qname, qtype)
                   or _rrset_from(response, qname, RType.CNAME))
         if answer is not None:
-            _verified(answer, response, keys, now)
-        elif check_denial(qname, qtype, nsec_witnesses(response),
-                          keys, now).kind not in _PROVEN:
+            _verified(answer, response, keys, now, memo)
+        elif not _fits_rcode(response.rcode, qname, check_denial(
+                qname, qtype, nsec_witnesses(response), keys, now, memo)):
             raise _Bogus(Reason.INVALID_DENIAL)
     except _Bogus as bogus:
         return ValidationOutcome(Security.BOGUS, bogus.reason, tuple(chain))
     return ValidationOutcome(Security.SECURE, None, tuple(chain))
+
+
+def _fits_rcode(rcode: int, qname: DnsName, denial: DenialOutcome) -> bool:
+    """Whether a denial proves what the response's rcode says: NXDOMAIN needs
+    the name shown absent, NOERROR the type shown absent or an empty
+    non-terminal, whose covering NSEC's next name lies below the qname."""
+    if denial.kind is Denial.TYPE_DOES_NOT_EXIST:
+        return rcode == Rcode.NOERROR
+    if denial.kind is not Denial.NAME_DOES_NOT_EXIST:
+        return False
+    # The gap covers qname, so its next name is not qname itself.
+    empty_non_terminal = denial.witness[0].rdata.next_name.is_subdomain_of(qname)
+    return rcode == (Rcode.NOERROR if empty_non_terminal else Rcode.NXDOMAIN)
 
 
 def _signer_zone(response: DnsMessage, qname: DnsName, qtype: int) -> DnsName | None:

@@ -3,7 +3,10 @@
 A zone holding `x.b.c.ent.test.` also holds the names `c.ent.test.` and
 `b.c.ent.test.`, which own no records (RFC 4592 §2.2.2). A query for one of
 them gets NOERROR with the SOA and, under DNSSEC, the NSEC that covers it
-(RFC 8020 §2); a validating resolver answers NOERROR with AD."""
+(RFC 8020 §2); a validating resolver answers NOERROR with AD, and the same
+proof under a rewritten NXDOMAIN is Bogus."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,9 +18,10 @@ from dnsseclab.records import RType
 from dnsseclab.resolver import RecursiveResolver, ResolverConfig
 from dnsseclab.server import AuthoritativeService, answer_authoritative
 from dnsseclab.signer import SigningPolicy, sign_zone
+from dnsseclab.validator import Reason, Security, validate_chain
 from dnsseclab.zonefile import parse_zone_file
 
-from conftest import FIXED_NOW
+from conftest import FIXED_NOW, make_fetcher
 
 ORIGIN = DnsName.from_text("ent.test.")
 ZONE_TEXT = ("$TTL 300\n@ IN SOA ns hostmaster 1 3600 900 604800 300\n"
@@ -84,3 +88,14 @@ def test_validating_resolver_answers_nodata_with_ad(zone, keys, qname, do):
     assert reply.rcode == Rcode.NOERROR
     assert "ad" in reply.flags and not reply.answers
     assert any(r.rtype == RType.SOA for r in reply.authority)
+
+
+@pytest.mark.parametrize("qname", EMPTY, ids=["depth-1", "depth-2"])
+def test_nxdomain_over_an_empty_non_terminal_is_bogus(zone, keys, qname):
+    reply = answer_authoritative(make_query(qname, RType.A, edns=Edns(do=True)), [zone])
+    anchors, fetch = [TrustAnchor(ORIGIN, keys[1].public)], make_fetcher([zone])
+    honest = validate_chain(reply, qname, RType.A, anchors, fetch, FIXED_NOW)
+    forged = validate_chain(replace(reply, rcode=Rcode.NXDOMAIN), qname, RType.A,
+                            anchors, fetch, FIXED_NOW)
+    assert honest.status is Security.SECURE
+    assert (forged.status, forged.reason) == (Security.BOGUS, Reason.INVALID_DENIAL)

@@ -73,6 +73,40 @@ def test_rsa_public_field_round_trip():
         == key.private.public()
 
 
+def _rsa_field(modulus_bits: int, exponent_octets: int = 3) -> bytes:
+    modulus = (1 << (modulus_bits - 1)) | 1
+    exponent = (1 << (8 * exponent_octets - 8)) | 1
+    return encode_rsa_public(rsa.RsaPublicKey(modulus, exponent))
+
+
+@pytest.mark.parametrize("bits, exponent_octets, accepted", [
+    (511, 3, False), (512, 3, True), (4096, 3, True), (4097, 3, False),
+    (2048, 8, True), (2048, 9, False),
+], ids=["511-bit", "512-bit", "4096-bit", "4097-bit", "8-octet-e", "9-octet-e"])
+def test_rsa_field_limits(bits, exponent_octets, accepted):
+    field = _rsa_field(bits, exponent_octets)
+    if accepted:
+        key = decode_rsa_public(field)
+        assert key.n.bit_length() == bits and len(encode_rsa_public(key)) == len(field)
+    else:
+        with pytest.raises(ParseError):
+            decode_rsa_public(field)
+
+
+def test_rsa_field_rejects_long_exponent_in_the_three_octet_form():
+    field = _rsa_field(1024)
+    exponent = b"\x01" + b"\x00" * 8
+    with pytest.raises(ParseError):
+        decode_rsa_public(b"\x00\x00\x09" + exponent + field[4:])
+
+
+def test_rsa_field_rejects_a_modulus_with_a_leading_zero_octet():
+    field = _rsa_field(1024)
+    decode_rsa_public(field)
+    with pytest.raises(ParseError):
+        decode_rsa_public(field[:4] + b"\x00" + field[4:])
+
+
 def test_file_naming_convention(tmp_path):
     key = small_key()
     public_path, private_path = write_key_files(key, tmp_path)

@@ -47,6 +47,27 @@ def test_key_tag_matches_independent_reimplementation():
         assert key_tag_from_rdata(rdata) == _independent_key_tag(rdata)
 
 
+def _loop_key_tag(rdata: bytes) -> int:
+    """The octet-by-octet loop `key_tag_from_rdata` replaced: the reference."""
+    acc = 0
+    for i, octet in enumerate(rdata):
+        acc += octet if i & 1 else octet << 8
+    acc += (acc >> 16) & 0xFFFF
+    return acc & 0xFFFF
+
+
+@given(st.binary(max_size=1100))
+def test_key_tag_equals_the_octet_loop(rdata):
+    assert key_tag_from_rdata(rdata) == _loop_key_tag(rdata)
+
+
+def test_key_tag_equals_the_octet_loop_at_every_length():
+    rng = random.Random(11)
+    for length in range(1101):
+        for rdata in (b"\xff" * length, rng.randbytes(length)):
+            assert key_tag_from_rdata(rdata) == _loop_key_tag(rdata), length
+
+
 def test_key_tag_carry_folding():
     # 0xffff * several octet pairs forces carries past 16 bits.
     rdata = b"\xff" * 10

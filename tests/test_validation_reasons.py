@@ -3,7 +3,8 @@
 A row pins the outcome's status, reason and chain, and the (name, type)
 sequence the walk fetched. Failures are planted in the response or in the
 replies the fetch callback returns: a wrong anchor key, a tampered RRSIG, a
-DS reply stripped of its records, a clock outside the signature window."""
+DS reply stripped of its records, a clock outside the signature window, an
+rcode rewritten over a valid denial."""
 
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -11,7 +12,7 @@ from typing import Callable
 import pytest
 
 from dnsseclab.keystore import KeyRole, TrustAnchor, generate_key
-from dnsseclab.message import DnsMessage, Edns, make_query
+from dnsseclab.message import DnsMessage, Edns, Rcode, make_query
 from dnsseclab.names import DnsName
 from dnsseclab.records import RType
 from dnsseclab.server import answer_authoritative
@@ -23,6 +24,7 @@ from conftest import APEX, FIXED_NOW, MA, make_fetcher
 
 POLICY = SigningPolicy()
 WWW = DnsName.from_text("www.domaine.ma.")
+MAIL = DnsName.from_text("mail.domaine.ma.")
 ABSENT = DnsName.from_text("absent.domaine.ma.")
 PLAIN = DnsName.from_text("plain.ma.")
 PLAIN_TEXT = ("$ORIGIN ma.\n$TTL 3600\n"
@@ -39,6 +41,7 @@ class Setup:
     anchors: list
     zones: list
     now: int = FIXED_NOW
+    qtype: int = RType.A
     #: (name, rtype, reply) -> the reply the fetch callback hands back
     tamper: Callable = field(default=lambda name, rtype, reply: reply)
 
@@ -93,6 +96,23 @@ def _secure_answer(w):
 def _secure_denial(w):
     return Setup(_answer(w["child"], ABSENT), ABSENT, [TrustAnchor(APEX, w["ksk"])],
                  [w["child"]])
+
+
+def _secure_nodata(w):
+    return Setup(_answer(w["child"], MAIL, RType.MX), MAIL,
+                 [TrustAnchor(APEX, w["ksk"])], [w["child"]], qtype=RType.MX)
+
+
+def _with_rcode(setup: Setup, rcode: int) -> Setup:
+    return replace(setup, response=replace(setup.response, rcode=rcode))
+
+
+def _nxdomain_over_nodata_proof(w):
+    return _with_rcode(_secure_nodata(w), Rcode.NXDOMAIN)
+
+
+def _noerror_over_nxdomain_proof(w):
+    return _with_rcode(_secure_denial(w), Rcode.NOERROR)
 
 
 def _no_anchor(w):
@@ -179,6 +199,8 @@ CASES = {
                       (("ma.", "parent_ksk"), ("domaine.ma.", "ksk")), FULL),
     "secure-denial": (_secure_denial, SECURE, None, (("domaine.ma.", "ksk"),),
                       CHILD_ONLY),
+    "secure-nodata": (_secure_nodata, SECURE, None, (("domaine.ma.", "ksk"),),
+                      CHILD_ONLY),
     "no-anchor": (_no_anchor, INSECURE, Reason.NO_ANCHOR, (), ()),
     "anchor-mismatch-signer": (_signer_outside_anchor, BOGUS, Reason.ANCHOR_MISMATCH,
                                (), ()),
@@ -202,6 +224,12 @@ CASES = {
                       CHILD_ONLY),
     "invalid-denial": (_denial_signature_broken, BOGUS, Reason.INVALID_DENIAL,
                        (("domaine.ma.", "ksk"),), CHILD_ONLY),
+    "invalid-denial-nxdomain-over-nodata": (_nxdomain_over_nodata_proof, BOGUS,
+                                            Reason.INVALID_DENIAL,
+                                            (("domaine.ma.", "ksk"),), CHILD_ONLY),
+    "invalid-denial-noerror-over-nxdomain": (_noerror_over_nxdomain_proof, BOGUS,
+                                             Reason.INVALID_DENIAL,
+                                             (("domaine.ma.", "ksk"),), CHILD_ONLY),
     "unsigned-delegation": (_unsigned_delegation, INSECURE, Reason.UNSIGNED_DELEGATION,
                             (("ma.", "small_ksk"),), ANCHOR + (("plain.ma.", DS),)),
 }
@@ -218,7 +246,7 @@ def test_reason_table(world, case):
         seen.append((name.to_text(), rtype))
         return setup.tamper(name, rtype, plain_fetch(name, rtype))
 
-    outcome = validate_chain(setup.response, setup.qname, RType.A, setup.anchors,
+    outcome = validate_chain(setup.response, setup.qname, setup.qtype, setup.anchors,
                              fetch, setup.now)
     assert (outcome.status, outcome.reason) == (status, reason)
     assert outcome.chain == tuple((DnsName.from_text(zone), world[key].key_tag())
