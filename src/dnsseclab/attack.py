@@ -13,8 +13,8 @@ from .keystore import TrustAnchor, load_trust_anchors
 from .message import decode_message, encode_message, make_query, make_reply
 from .names import ROOT, DnsName
 from .records import ARdata, NsRdata, ResourceRecord, RType
-from .netsim import (NO_GUESSES, PORT_BASE, GuessTable, PortPolicy, QueryEvent,
-                     SimNetwork, SimTransport)
+from .netsim import (NO_GUESSES, TXID_SPACE, GuessTable, PortPolicy, QueryEvent,
+                     SimNetwork, SimTransport, draw_guesses)
 from .resolver import Cache, RecursiveResolver, ResolverConfig
 from .server import AuthoritativeService
 from .zonefile import Zone, load_zone_file
@@ -23,8 +23,6 @@ AUTHORITY_ADDRESS = "198.51.100.53"
 ATTACKER_ADDRESS = "203.0.113.66"
 VICTIM_ADDRESS = "192.0.2.10"
 EVIL_IP = "203.0.113.99"
-
-TXID_SPACE = 65536
 
 
 @dataclass
@@ -127,9 +125,16 @@ class KaminskyAttacker:
         self.rng = rng
         self.armed_qname: DnsName | None = None
         self.evil_ns = DnsName.from_text("ns.evil.example.")
+        self._rdatas = frozenset((NsRdata(self.evil_ns), ARdata(ATTACKER_ADDRESS),
+                                  ARdata(EVIL_IP)))
 
     def arm(self, qname: DnsName) -> None:
         self.armed_qname = qname
+
+    def forged(self, rdatas) -> bool:
+        """True when any of `rdatas` is the attacker's: its name server, that
+        server's address or the address its authority answers with."""
+        return not self._rdatas.isdisjoint(rdatas)
 
     def forged_referral(self, qname: DnsName, qtype: int, txid: int) -> bytes:
         """The wire of a referral that delegates the target zone to the
@@ -144,14 +149,9 @@ class KaminskyAttacker:
     def on_query(self, event: QueryEvent) -> GuessTable:
         if event.dst != AUTHORITY_ADDRESS or event.qname != self.armed_qname:
             return NO_GUESSES
-        n = self.cfg.forged_per_query
-        if self.cfg.port_mode == "fixed":
-            positions = {(PORT_BASE, txid): i for i, txid
-                         in enumerate(self.rng.sample(range(TXID_SPACE), n))}
-        else:
-            space = TXID_SPACE * self.cfg.port_space
-            positions = {(PORT_BASE + g // TXID_SPACE, g % TXID_SPACE): i for i, g
-                         in enumerate(self.rng.sample(range(space), min(n, space)))}
+        # A guess is GuessTable.key(port, txid): the txid alone at the fixed port.
+        space = TXID_SPACE * (1 if self.cfg.port_mode == "fixed" else self.cfg.port_space)
+        positions = draw_guesses(self.rng, space, min(self.cfg.forged_per_query, space))
         return GuessTable(AUTHORITY_ADDRESS, positions,
                           partial(self.forged_referral, event.qname, event.qtype))
 
@@ -166,7 +166,7 @@ class RaceSpoofAttacker(KaminskyAttacker):
         if (event.dst != AUTHORITY_ADDRESS or event.qname != self.armed_qname
                 or self.cfg.forged_per_query < 1):
             return NO_GUESSES
-        return GuessTable(AUTHORITY_ADDRESS, {(event.src_port, event.txid): 0},
+        return GuessTable(AUTHORITY_ADDRESS, {GuessTable.key(event.src_port, event.txid): 0},
                           partial(self.forged_referral, event.qname, event.qtype))
 
 
@@ -222,16 +222,18 @@ def build_lab(cfg: AttackConfig, zone: Zone,
 
 
 def cache_poisoned(victim: RecursiveResolver, attacker: KaminskyAttacker,
-                   cfg: AttackConfig, now: float) -> bool:
-    """The success oracle: the forged delegation (or its glue) sits in the
-    victim's cache."""
-    ns_entry = victim.cache.get((cfg.target_zone, RType.NS, 1), now)
-    if ns_entry is not None and ns_entry.rrset is not None:
-        if any(rdata == NsRdata(attacker.evil_ns)
-               for rdata in ns_entry.rrset.rdatas):
+                   cfg: AttackConfig, now: float, qname: DnsName | None = None) -> bool:
+    """The success oracle: the forged delegation, its glue or, when `qname`
+    is given, attacker data for that name sits in the victim's cache."""
+    keys = [(cfg.target_zone, RType.NS, 1), (attacker.evil_ns, RType.A, 1)]
+    if qname is not None:
+        keys.append((qname, RType.A, 1))
+    for key in keys:
+        entry = victim.cache.get(key, now)
+        if entry is not None and entry.rrset is not None \
+                and attacker.forged(entry.rrset.rdatas):
             return True
-    glue = victim.cache.get((attacker.evil_ns, RType.A, 1), now)
-    return glue is not None and glue.rrset is not None
+    return False
 
 
 def run_attack(cfg: AttackConfig, victim: RecursiveResolver,
@@ -241,7 +243,10 @@ def run_attack(cfg: AttackConfig, victim: RecursiveResolver,
 
     A round triggers one victim lookup for a fresh name under the target
     domain and injects the forged responses; an instance counts as poisoned
-    as soon as the forged delegation enters the victim's cache."""
+    as soon as the victim's reply to that lookup holds attacker data, or the
+    forged delegation or attacker data for the round's name enters its cache
+    (a validating victim caches no referral, so only the last two can show
+    a forgery that its validation let through)."""
     if attacker is None:
         attacker = next((tap for tap in network.taps
                          if isinstance(tap, KaminskyAttacker)), None)
@@ -260,9 +265,10 @@ def run_attack(cfg: AttackConfig, victim: RecursiveResolver,
         for round_index in range(cfg.query_rounds):
             qname = DnsName.from_text(f"r{trial}-{round_index}.{label}.")
             attacker.arm(qname)
-            victim.resolve_name(qname, RType.A)
+            reply = victim.resolve_name(qname, RType.A)
             attacker.arm(None)
-            if cache_poisoned(victim, attacker, cfg, network.clock()):
+            if (attacker.forged(r.rdata for r in (*reply.answers, *reply.authority))
+                    or cache_poisoned(victim, attacker, cfg, network.clock(), qname)):
                 successes += 1
                 if cfg.validation:
                     post_validation += 1

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from .names import DnsName
 from .records import RdataError, ResourceRecord, RType, rdata_from_wire, rtype_to_text
-from .wire import Truncated, read_exact, read_name
+from .wire import Truncated, read_name, unpack_exact
 
 # In the presentation order of dig-style flag lines.
 FLAG_BITS = {
@@ -27,6 +27,12 @@ _FLAG_MASK = sum(FLAG_BITS.values())
 #: The flag set of each combination of the bits in `_FLAG_MASK`.
 _FLAG_SETS = {sum(FLAG_BITS[f] for f in names): frozenset(names)
               for n in range(len(FLAG_BITS) + 1) for names in combinations(FLAG_BITS, n)}
+
+
+_HEADER = struct.Struct(">HHHHHH")
+_QUESTION = struct.Struct(">HH")
+_RR_HEAD = struct.Struct(">HHIH")  # type, class, TTL, RDLENGTH
+_POINTER = struct.Struct(">H")
 
 
 class Rcode(IntEnum):
@@ -122,7 +128,7 @@ def _write_name(out: bytearray, name: DnsName, table: dict) -> None:
         suffix = labels[i:]
         offset = table.get(suffix)
         if offset is not None:
-            out += struct.pack(">H", 0xC000 | offset)
+            out += _POINTER.pack(0xC000 | offset)
             return
         if len(out) <= 0x3FFF:
             table[suffix] = len(out)
@@ -136,8 +142,7 @@ def _write_record(out: bytearray, record: ResourceRecord, table: dict) -> None:
     # the uncompressed form).
     _write_name(out, record.owner, table)
     rdata = record.rdata.to_wire()
-    out += struct.pack(">HHIH", record.rtype, record.rclass, record.ttl & 0xFFFFFFFF,
-                       len(rdata))
+    out += _RR_HEAD.pack(record.rtype, record.rclass, record.ttl & 0xFFFFFFFF, len(rdata))
     out += rdata
 
 
@@ -148,19 +153,18 @@ def encode_message(msg: DnsMessage) -> bytes:
         if count > 0xFFFF:
             raise TooManyRecords(f"section of {count} records")
     flags_word = sum(FLAG_BITS[f] for f in msg.flags) | (msg.rcode & 0x0F)
-    out = bytearray(struct.pack(">HHHHHH", msg.id & 0xFFFF, flags_word,
-                                len(msg.questions), len(msg.answers),
-                                len(msg.authority), additional_count))
+    out = bytearray(_HEADER.pack(msg.id & 0xFFFF, flags_word, len(msg.questions),
+                                 len(msg.answers), len(msg.authority), additional_count))
     table: dict = {}
     for q in msg.questions:
         _write_name(out, q.name, table)
-        out += struct.pack(">HH", q.qtype, q.qclass)
+        out += _QUESTION.pack(q.qtype, q.qclass)
     for _, section in msg.section_records():
         for record in section:
             _write_record(out, record, table)
     if msg.edns:
         ttl = ((msg.edns.version & 0xFF) << 16) | (0x8000 if msg.edns.do else 0)
-        out += b"\x00" + struct.pack(">HHIH", RType.OPT, msg.edns.udp_payload, ttl, 0)
+        out += b"\x00" + _RR_HEAD.pack(RType.OPT, msg.edns.udp_payload, ttl, 0)
     return bytes(out)
 
 
@@ -168,13 +172,12 @@ def encode_message(msg: DnsMessage) -> bytes:
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _read_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
-    owner, offset = read_name(data, offset, len(data))
-    rtype, rclass, ttl, rdlength = struct.unpack(
-        ">HHIH", read_exact(data, offset, len(data), 10, "record header"))
-    offset += 10
+def _read_record(data: bytes, offset: int, size: int) -> tuple[ResourceRecord, int]:
+    owner, offset = read_name(data, offset, size)
+    rtype, rclass, ttl, rdlength = unpack_exact(_RR_HEAD, data, offset, size, "record header")
+    offset += _RR_HEAD.size
     end = offset + rdlength
-    if end > len(data):
+    if end > size:
         raise Truncated(f"rdata: need {rdlength} octets at offset {offset}")
     rdata, stop = rdata_from_wire(rtype, data, offset, end)
     if stop != end:
@@ -184,20 +187,21 @@ def _read_record(data: bytes, offset: int) -> tuple[ResourceRecord, int]:
 
 def decode_message(data: bytes) -> DnsMessage:
     data = bytes(data)  # `read_name` builds names from its slices unchecked
-    msg_id, flags_word, qdcount, ancount, nscount, arcount = struct.unpack(
-        ">HHHHHH", read_exact(data, 0, len(data), 12, "header"))
+    size = len(data)
+    msg_id, flags_word, qdcount, ancount, nscount, arcount = unpack_exact(
+        _HEADER, data, 0, size, "header")
     msg = DnsMessage(id=msg_id, flags=_FLAG_SETS[flags_word & _FLAG_MASK],
                      rcode=flags_word & 0x0F)
-    offset = 12
+    offset = _HEADER.size
     for _ in range(qdcount):
-        name, offset = read_name(data, offset, len(data))
-        qtype, qclass = struct.unpack(">HH", read_exact(data, offset, len(data), 4, "question"))
-        offset += 4
+        name, offset = read_name(data, offset, size)
+        qtype, qclass = unpack_exact(_QUESTION, data, offset, size, "question")
+        offset += _QUESTION.size
         msg.questions.append(Question(name, qtype, qclass))
     for count, section in ((ancount, msg.answers), (nscount, msg.authority),
                            (arcount, msg.additional)):
         for _ in range(count):
-            record, offset = _read_record(data, offset)
+            record, offset = _read_record(data, offset, size)
             if record.rtype == RType.OPT and section is msg.additional:
                 if msg.edns is None:
                     msg.edns = Edns(version=(record.ttl >> 16) & 0xFF,

@@ -15,9 +15,11 @@ That models the exact race a cache-poisoning attacker exploits.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import repeat
+from math import ceil, log
 from operator import add
 from typing import Callable, Protocol
 
@@ -43,16 +45,50 @@ class QueryEvent:
 @dataclass(frozen=True)
 class GuessTable:
     """The forged replies a tap sends against one query, all claiming to come
-    from `claimed_src`: `positions` maps each guessed (destination port,
-    transaction id) to its place in the order they are sent, and `forge`
-    builds the wire for one guessed id. Only a guess that lands is built.
-    `len()` is the number of forged packets."""
+    from `claimed_src`: `positions` maps each guess, the integer
+    `GuessTable.key(destination port, transaction id)`, to its place in the
+    order they are sent, and `forge` builds the wire for one guessed id.
+    Only a guess that lands is built. `len()` is the number of forged packets."""
     claimed_src: str = ""
-    positions: dict[tuple[int, int], int] = field(default_factory=dict)
+    positions: dict[int, int] = field(default_factory=dict)
     forge: Callable[[int], bytes] | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
+
+    @staticmethod
+    def key(port: int, txid: int) -> int:
+        """The guess that stands for (destination port, transaction id)."""
+        return (port - PORT_BASE) * TXID_SPACE + txid
+
+
+_WORD = struct.Struct("<I")
+
+
+def draw_guesses(rng: random.Random, n: int, k: int) -> dict[int, int]:
+    """`rng.sample(range(n), k)` as a dict from each guess to its place in the
+    sample: the same guesses in the same order, with `rng` left in the same
+    state. CPython's `sample` draws each guess with `_randbelow(n)`, which
+    takes one 32-bit word per try and keeps `word >> (32 - n.bit_length())`
+    when that is below n, and then redraws a guess it already holds. Here the
+    words come from one `getrandbits` call per batch of exactly as many words
+    as guesses are missing: a word adds at most one guess, so no batch draws
+    past the k-th. Where `sample` takes its pool branch instead (k > 5 461
+    for n = 65 536), or n needs more than 32 bits, this is `sample` itself."""
+    shift = 32 - n.bit_length()
+    if shift < 0 or n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        return {guess: i for i, guess in enumerate(rng.sample(range(n), k))}
+    positions: dict[int, int] = {}
+    setdefault = positions.setdefault
+    need = k
+    while need:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        for (word,) in _WORD.iter_unpack(words):
+            guess = word >> shift
+            if guess < n:
+                setdefault(guess, len(positions))
+        need = k - len(positions)
+    return positions
 
 
 #: What a tap that injects nothing returns.
@@ -70,6 +106,8 @@ class Tap(Protocol):
 LATENCY = 0.01
 #: The fixed source port, and the lowest one a random draw can give.
 PORT_BASE = 32768
+#: Transaction ids a query can carry.
+TXID_SPACE = 65536
 
 
 class SimNetwork:
@@ -123,7 +161,7 @@ class SimTransport(Transport):
         self._txid_rng = random.Random(network.rng.randrange(2 ** 63))
 
     def new_txid(self) -> int:
-        return self._txid_rng.randrange(65536)
+        return self._txid_rng.randrange(TXID_SPACE)
 
     def query(self, address: str, query: DnsMessage,
               tcp: bool = False) -> tuple[DnsMessage, bytes]:
@@ -147,8 +185,9 @@ class SimTransport(Transport):
         event = QueryEvent(address, question.name, question.qtype, self.address)
         tables = [tap.on_query(replace(event, txid=txid, src_port=src_port, wire=wire)
                                if tap.on_path else event) for tap in net.taps]
+        key = GuessTable.key(src_port, txid)
         for table in tables:
-            position = (table.positions.get((src_port, txid))
+            position = (table.positions.get(key)
                         if table.claimed_src == address else None)
             if position is None:
                 self._deliver(len(table))

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .names import DnsName
-from .wire import read_exact, read_name
+from .wire import read_exact, read_name, unpack_exact
 
 
 class RType(IntEnum):
@@ -130,18 +130,36 @@ def key_tag_from_rdata(rdata: bytes) -> int:
 # Rdata types
 # ---------------------------------------------------------------------------
 
+_U16 = struct.Struct(">H")
+_SOA_TAIL = struct.Struct(">IIIII")
+_KEY_HEAD = struct.Struct(">HBB")  # DNSKEY flags/protocol/algorithm, DS tag/algorithm/type
+_RRSIG_HEAD = struct.Struct(">HBBIIIH")
+
+
+class _WireOnce:
+    """RDATA whose wire form `_encode` computes once, on first use: zone
+    data is served again and again, and an RDATA never changes."""
+
+    @cached_property
+    def _wire(self) -> bytes:
+        return self._encode()
+
+    def to_wire(self) -> bytes:
+        return self._wire
+
+
 @dataclass(frozen=True)
-class ARdata:
+class ARdata(_WireOnce):
     RTYPE = RType.A
     address: str
 
     def __post_init__(self):
         _ip4_to_bytes(self.address)
 
-    def to_wire(self) -> bytes:
+    def _encode(self) -> bytes:
         return _ip4_to_bytes(self.address)
 
-    canonical_wire = to_wire
+    canonical_wire = _WireOnce.to_wire
 
     @classmethod
     def from_wire(cls, msg, offset, end):
@@ -157,10 +175,10 @@ class ARdata:
 
 
 @dataclass(frozen=True)
-class _SingleName:
+class _SingleName(_WireOnce):
     target: DnsName
 
-    def to_wire(self) -> bytes:
+    def _encode(self) -> bytes:
         return self.target.to_wire()
 
     def canonical_wire(self) -> bytes:
@@ -189,7 +207,7 @@ class CnameRdata(_SingleName):
 
 
 @dataclass(frozen=True)
-class SoaRdata:
+class SoaRdata(_WireOnce):
     RTYPE = RType.SOA
     mname: DnsName
     rname: DnsName
@@ -200,10 +218,9 @@ class SoaRdata:
     minimum: int
 
     def _tail(self) -> bytes:
-        return struct.pack(">IIIII", self.serial, self.refresh, self.retry,
-                           self.expire, self.minimum)
+        return _SOA_TAIL.pack(self.serial, self.refresh, self.retry, self.expire, self.minimum)
 
-    def to_wire(self) -> bytes:
+    def _encode(self) -> bytes:
         return self.mname.to_wire() + self.rname.to_wire() + self._tail()
 
     def canonical_wire(self) -> bytes:
@@ -213,8 +230,8 @@ class SoaRdata:
     def from_wire(cls, msg, offset, end):
         mname, offset = read_name(msg, offset, end)
         rname, offset = read_name(msg, offset, end)
-        fields = struct.unpack(">IIIII", read_exact(msg, offset, end, 20, "SOA"))
-        return cls(mname, rname, *fields), offset + 20
+        fields = unpack_exact(_SOA_TAIL, msg, offset, end, "SOA")
+        return cls(mname, rname, *fields), offset + _SOA_TAIL.size
 
     def to_text(self, origin=None) -> str:
         names = (self.mname.relativize(origin), self.rname.relativize(origin)) \
@@ -232,20 +249,20 @@ class SoaRdata:
 
 
 @dataclass(frozen=True)
-class MxRdata:
+class MxRdata(_WireOnce):
     RTYPE = RType.MX
     preference: int
     exchange: DnsName
 
-    def to_wire(self) -> bytes:
-        return struct.pack(">H", self.preference) + self.exchange.to_wire()
+    def _encode(self) -> bytes:
+        return _U16.pack(self.preference) + self.exchange.to_wire()
 
     def canonical_wire(self) -> bytes:
-        return struct.pack(">H", self.preference) + self.exchange.canonical_wire()
+        return _U16.pack(self.preference) + self.exchange.canonical_wire()
 
     @classmethod
     def from_wire(cls, msg, offset, end):
-        (preference,) = struct.unpack(">H", read_exact(msg, offset, end, 2, "MX"))
+        (preference,) = unpack_exact(_U16, msg, offset, end, "MX")
         exchange, offset = read_name(msg, offset + 2, end)
         return cls(preference, exchange), offset
 
@@ -292,25 +309,25 @@ class TxtRdata:
 
 
 @dataclass(frozen=True)
-class DnskeyRdata:
+class DnskeyRdata(_WireOnce):
     RTYPE = RType.DNSKEY
     flags: int
     protocol: int
     algorithm: int
     public_key: bytes
 
-    def to_wire(self) -> bytes:
-        return struct.pack(">HBB", self.flags, self.protocol, self.algorithm) + self.public_key
+    def _encode(self) -> bytes:
+        return _KEY_HEAD.pack(self.flags, self.protocol, self.algorithm) + self.public_key
 
-    canonical_wire = to_wire
+    canonical_wire = _WireOnce.to_wire
 
     def key_tag(self) -> int:
         return key_tag_from_rdata(self.to_wire())
 
     @classmethod
     def from_wire(cls, msg, offset, end):
-        head = struct.unpack(">HBB", read_exact(msg, offset, end, 4, "DNSKEY"))
-        return cls(*head, msg[offset + 4 : end]), end
+        head = unpack_exact(_KEY_HEAD, msg, offset, end, "DNSKEY")
+        return cls(*head, msg[offset + _KEY_HEAD.size : end]), end
 
     def to_text(self, origin=None) -> str:
         b64 = base64.b64encode(self.public_key).decode("ascii")
@@ -326,7 +343,7 @@ class DnskeyRdata:
 
 
 @dataclass(frozen=True)
-class RrsigRdata:
+class RrsigRdata(_WireOnce):
     RTYPE = RType.RRSIG
     type_covered: int
     algorithm: int
@@ -339,10 +356,10 @@ class RrsigRdata:
     signature: bytes
 
     def _head(self) -> bytes:
-        return struct.pack(">HBBIIIH", self.type_covered, self.algorithm, self.labels,
-                           self.original_ttl, self.expiration, self.inception, self.key_tag)
+        return _RRSIG_HEAD.pack(self.type_covered, self.algorithm, self.labels,
+                                self.original_ttl, self.expiration, self.inception, self.key_tag)
 
-    def to_wire(self) -> bytes:
+    def _encode(self) -> bytes:
         return self._head() + self.signer_name.to_wire() + self.signature
 
     def canonical_wire(self) -> bytes:
@@ -355,8 +372,8 @@ class RrsigRdata:
 
     @classmethod
     def from_wire(cls, msg, offset, end):
-        head = struct.unpack(">HBBIIIH", read_exact(msg, offset, end, 18, "RRSIG"))
-        signer, offset = read_name(msg, offset + 18, end)
+        head = unpack_exact(_RRSIG_HEAD, msg, offset, end, "RRSIG")
+        signer, offset = read_name(msg, offset + _RRSIG_HEAD.size, end)
         return cls(*head, signer, msg[offset:end]), end
 
     def to_text(self, origin=None) -> str:
@@ -378,12 +395,12 @@ class RrsigRdata:
 
 
 @dataclass(frozen=True)
-class NsecRdata:
+class NsecRdata(_WireOnce):
     RTYPE = RType.NSEC
     next_name: DnsName
     type_bitmap: frozenset[int]
 
-    def to_wire(self) -> bytes:
+    def _encode(self) -> bytes:
         return self.next_name.to_wire() + self._bitmap_wire
 
     def canonical_wire(self) -> bytes:
@@ -419,22 +436,22 @@ def nsec_gap_covers(owner_key: tuple, next_key: tuple, key: tuple) -> bool:
 
 
 @dataclass(frozen=True)
-class DsRdata:
+class DsRdata(_WireOnce):
     RTYPE = RType.DS
     key_tag: int
     algorithm: int
     digest_type: int
     digest: bytes
 
-    def to_wire(self) -> bytes:
-        return struct.pack(">HBB", self.key_tag, self.algorithm, self.digest_type) + self.digest
+    def _encode(self) -> bytes:
+        return _KEY_HEAD.pack(self.key_tag, self.algorithm, self.digest_type) + self.digest
 
-    canonical_wire = to_wire
+    canonical_wire = _WireOnce.to_wire
 
     @classmethod
     def from_wire(cls, msg, offset, end):
-        head = struct.unpack(">HBB", read_exact(msg, offset, end, 4, "DS"))
-        return cls(*head, msg[offset + 4 : end]), end
+        head = unpack_exact(_KEY_HEAD, msg, offset, end, "DS")
+        return cls(*head, msg[offset + _KEY_HEAD.size : end]), end
 
     def to_text(self, origin=None) -> str:
         return f"{self.key_tag} {self.algorithm} {self.digest_type} {self.digest.hex().upper()}"

@@ -17,6 +17,8 @@ from .transport import Timeout, Transport, TransportError
 from .validator import FetchFailure, Security, SignatureMemo, validate_chain
 
 MAX_NEGATIVE_TTL = 3600
+#: The longest any entry is cached, whatever its TTL (RFC 8767 §4: 7 days).
+MAX_CACHE_TTL = 7 * 86400
 HOP_LIMIT = 16
 #: Types a client without the DO bit sees only when it asked for them.
 _DNSSEC_TYPES = (RType.RRSIG, RType.NSEC, RType.DNSKEY)
@@ -276,15 +278,27 @@ class RecursiveResolver:
 
     def _cache_response(self, qname: DnsName, qtype: int, msg: DnsMessage,
                         security: Security, now: float) -> None:
+        """Cache an answer's RRsets, or a negative answer under the query key.
+        An entry lives at most `MAX_CACHE_TTL`, a negative one at most its
+        SOA's TTL and MINIMUM and `MAX_NEGATIVE_TTL` (RFC 2308 §5), and a
+        Secure one no longer than any RRSIG that covers it allows: its
+        original TTL, and its expiration (RFC 4035 §5.3.3)."""
         if msg.rcode not in (Rcode.NOERROR, Rcode.NXDOMAIN):
             return
+
+        def expiry(ttl: float, rrsigs) -> float:
+            if security is Security.SECURE:
+                for sig in rrsigs:
+                    ttl = min(ttl, sig.rdata.original_ttl, sig.rdata.expiration - now)
+            return now + min(ttl, MAX_CACHE_TTL)
+
         if msg.answers:
             for rrset in group_rrsets(r for r in msg.answers
                                       if r.rtype != RType.RRSIG):
                 covering = rrsigs_covering(msg.answers, rrset.owner, rrset.rtype)
                 entry = CacheEntry(key=(rrset.owner, rrset.rtype, rrset.rclass),
                                    rrset=rrset, rrsigs=tuple(covering),
-                                   inserted_at=now, expires_at=now + rrset.ttl,
+                                   inserted_at=now, expires_at=expiry(rrset.ttl, covering),
                                    security=security)
                 self.cache.put(entry, now)
                 if rrset.owner == qname and rrset.rtype != qtype:
@@ -292,10 +306,11 @@ class RecursiveResolver:
             return
         # Negative answer: cache the skeleton under the query key.
         soa = next((r for r in msg.authority if r.rtype == RType.SOA), None)
-        ttl = min(soa.rdata.minimum, MAX_NEGATIVE_TTL) if soa else 60
+        ttl = min(soa.ttl, soa.rdata.minimum, MAX_NEGATIVE_TTL) if soa else 60
         skeleton = DnsMessage(rcode=msg.rcode, authority=list(msg.authority))
+        rrsigs = [r for r in msg.authority if r.rtype == RType.RRSIG]
         self.cache.put(CacheEntry(key=(qname, qtype, 1), rrset=None,
-                                  inserted_at=now, expires_at=now + ttl,
+                                  inserted_at=now, expires_at=expiry(ttl, rrsigs),
                                   security=security, negative=skeleton), now)
 
     def _reply(self, query: DnsMessage, rcode: int, answers, authority,

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .message import DnsMessage, Rcode, decode_message, encode_message, make_reply
 from .names import DnsName
-from .records import RType, rrsigs_covering
+from .records import RType
 from .transport import TransportError, recv_framed
 from .zonefile import Zone
 
@@ -30,9 +30,7 @@ def _signed(zone: Zone, records: list) -> list:
     """One RRset's records followed by the RRSIGs in `zone` that cover it."""
     if not records:
         return records
-    owner = records[0].owner
-    return records + rrsigs_covering(zone.records_at(owner, RType.RRSIG), owner,
-                                     records[0].rtype)
+    return [*records, *zone.rrsigs_at(records[0].owner, records[0].rtype)]
 
 
 def _nsec_proof(zone: Zone, name: DnsName) -> list:

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, TextIO
 from .names import DnsName, NameError_
 from .records import (RClass, RType, RdataError, ResourceRecord, RRset,
                       group_rrsets, nsec_gap_covers, rdata_from_text,
-                      rtype_from_text)
+                      rrsigs_covering, rtype_from_text)
 
 
 class ZoneError(ValueError):
@@ -42,6 +42,7 @@ class DuplicateSoa(ZoneError):
 class _Tables(NamedTuple):
     size: int        # len(records) when built
     by_owner: dict   # owner -> rtype -> records, in record order
+    rrsigs: dict     # (owner, covered type) -> the RRSIGs there that cover it
     cuts: frozenset  # owners of NS RRsets below the apex
     names: frozenset  # the owners and their ancestors up to the apex
     nsec_keys: list  # canonical keys of the NSEC owners, sorted
@@ -65,6 +66,11 @@ class Zone:
             by_owner: dict = {}
             for record in self.records:
                 by_owner.setdefault(record.owner, {}).setdefault(record.rtype, []).append(record)
+            rrsigs = {}
+            for owner, types in by_owner.items():
+                sigs = types.get(RType.RRSIG, ())
+                for covered in {sig.rdata.type_covered for sig in sigs}:
+                    rrsigs[owner, covered] = tuple(rrsigs_covering(sigs, owner, covered))
             cuts = frozenset(owner for owner, types in by_owner.items()
                              if RType.NS in types and owner != self.apex)
             names = set()
@@ -76,7 +82,7 @@ class Zone:
                     name = name.parent()
             nsecs = sorted((r for r in self.records if r.rtype == RType.NSEC),
                            key=lambda r: r.owner.canonical_key())
-            tables = self._tables = _Tables(len(self.records), by_owner, cuts,
+            tables = self._tables = _Tables(len(self.records), by_owner, rrsigs, cuts,
                                             frozenset(names),
                                             [r.owner.canonical_key() for r in nsecs], nsecs)
         return tables
@@ -131,6 +137,10 @@ class Zone:
         if rtype is None:
             return [r for records in types.values() for r in records]
         return list(types.get(rtype, ()))
+
+    def rrsigs_at(self, owner: DnsName, rtype: int) -> tuple:
+        """The RRSIGs at `owner` that cover `rtype` (`rrsigs_covering`'s rule)."""
+        return self._index().rrsigs.get((owner, rtype), ())
 
     def rrsets(self) -> list[RRset]:
         return group_rrsets(self.records)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dnsseclab import resolver
 from dnsseclab.attack import (AttackConfig, EvilAuthority, KaminskyAttacker,
                               RaceSpoofAttacker, analytic_success_probability,
                               build_lab, cache_poisoned, parse_attack_config,
@@ -11,7 +12,7 @@ from dnsseclab.keystore import TrustAnchor
 from dnsseclab.message import decode_message, encode_message, make_query
 from dnsseclab.names import DnsName
 from dnsseclab.records import NsRdata, RType
-from dnsseclab.validator import Security
+from dnsseclab.validator import Security, ValidationOutcome
 
 from conftest import APEX
 
@@ -168,6 +169,34 @@ def test_kaminsky_blocked_by_validation(signed_zone, ksk):
         accepted += report.forged_accepted_post_validation
         assert report.successes == 0
     assert accepted == 0
+
+
+def test_fixed_port_guesses_past_the_id_space_poison_round_one(signed_zone):
+    """More forged replies per query than there are ids: the attacker sends
+    every id once, so each trial is poisoned by its first query."""
+    cfg = kaminsky_cfg(forged_per_query=70_000, query_rounds=5, trials=3)
+    lab = build_lab(cfg, signed_zone.zone)
+    report = run_attack(cfg, lab.victim, lab.network, lab.attacker)
+    assert report.successes == cfg.trials
+    assert report.empirical_rate == report.analytic_rate == 1.0
+    # One forged referral lands per trial, and its evil authority answers.
+    assert report.forged_matcher_hits == cfg.trials
+    assert lab.network.transactions == 2 * cfg.trials
+
+
+def test_oracle_sees_a_forgery_that_validation_let_through(signed_zone, ksk, monkeypatch):
+    """With a validator that calls everything Secure, the forged referral
+    that lands in this lab (seed 1002) leads to the attacker's address with
+    AD. A validating victim caches no referral, so only the reply and the
+    cache entry for the round's name can show it."""
+    monkeypatch.setattr(resolver, "validate_chain",
+                        lambda *args: ValidationOutcome(Security.SECURE))
+    cfg = kaminsky_cfg(trials=2, seed=1002, validation=True)
+    lab = build_lab(cfg, signed_zone.zone, (TrustAnchor(APEX, ksk.public),))
+    report = run_attack(cfg, lab.victim, lab.network, lab.attacker)
+    assert report.forged_matcher_hits == 1
+    assert report.successes == report.forged_accepted_post_validation == 1
+    assert not cache_poisoned(lab.victim, lab.attacker, cfg, lab.network.clock())
 
 
 def test_attacker_mode_placement_guard(signed_zone):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from dnsseclab.attack import AttackConfig, build_lab
 from dnsseclab.message import DnsMessage, Question, decode_message, encode_message, make_query
 from dnsseclab.names import DnsName
-from dnsseclab.netsim import (LATENCY, PORT_BASE, GuessTable, PortPolicy, QueryEvent,
-                              SimNetwork, SimTransport)
+from dnsseclab.netsim import (LATENCY, PORT_BASE, TXID_SPACE, GuessTable, PortPolicy,
+                              QueryEvent, SimNetwork, SimTransport, draw_guesses)
 from dnsseclab.records import ARdata, ResourceRecord, RType
 from dnsseclab.transport import Timeout, reply_matches
 
@@ -54,13 +54,15 @@ class ScriptedTap:
     def on_query(self, event: QueryEvent) -> GuessTable:
         self.events.append(event)
         return GuessTable(self.claimed_src,
-                          {guess: i for i, guess in enumerate(self.guesses)}, self.forge)
+                          {GuessTable.key(port, txid): i
+                           for i, (port, txid) in enumerate(self.guesses)}, self.forge)
 
 
 def linear_query(transport: SimTransport, address: str, query: DnsMessage) -> bytes:
     """The packet-by-packet scan: every guess of every table becomes one
     packet, in the order sent, and the legitimate reply comes last; each
-    packet tested takes one LATENCY and the first that passes wins."""
+    packet tested takes one LATENCY and the first that passes wins. A guess
+    is decoded back into the (port, id) its packet carries."""
     net = transport.network
     handler = net.hosts.get(address)
     net.transactions += 1
@@ -76,8 +78,9 @@ def linear_query(transport: SimTransport, address: str, query: DnsMessage) -> by
         else:
             event = QueryEvent(address, question.name, question.qtype, transport.address)
         table = tap.on_query(event)
-        for (port, guess), _ in sorted(table.positions.items(), key=lambda item: item[1]):
-            packets.append((table.claimed_src, port, table.forge(guess), True))
+        for key, _ in sorted(table.positions.items(), key=lambda item: item[1]):
+            port, guess = divmod(key, TXID_SPACE)
+            packets.append((table.claimed_src, PORT_BASE + port, table.forge(guess), True))
     reply = handler(wire, False) if handler else None
     if reply is not None:
         packets.append((address, src_port, reply, False))
@@ -192,3 +195,36 @@ def test_plain_lookup_builds_no_name_through_the_checks(signed_zone, monkeypatch
     monkeypatch.undo()
     assert reply.answers or reply.authority
     assert len(calls) <= 1
+
+
+def _sampled(rng, n, k):
+    return list(enumerate(rng.sample(range(n), k)))
+
+
+def _drawn(rng, n, k):
+    return [(i, guess) for guess, i in draw_guesses(rng, n, k).items()]
+
+
+@pytest.mark.parametrize("n", [TXID_SPACE, TXID_SPACE * 4096], ids=["fixed", "random"])
+@pytest.mark.parametrize("k, seeds", [(0, 3), (1, 20), (100, 40), (5461, 3), (5462, 3)])
+def test_draw_guesses_is_random_sample(n, k, seeds):
+    """The same guesses in the same order, and the same RNG state after, as
+    `random.Random.sample`, for the guess spaces of both port modes, on each
+    side of the 5 461 guesses where `sample` switches branch at 65 536.
+    Two draws in a row check that the state carries over."""
+    for seed in range(seeds):
+        by_helper, by_sample = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            assert _drawn(by_helper, n, k) == _sampled(by_sample, n, k)
+            assert by_helper.getstate() == by_sample.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 2 ** 34), k=st.integers(0, 300))
+def test_draw_guesses_is_random_sample_for_any_space(seed, n, k):
+    """Also where `sample` takes its pool branch (small n) and where n needs
+    more than 32 bits: there the helper is `sample` itself."""
+    k = min(k, n)
+    by_helper, by_sample = random.Random(seed), random.Random(seed)
+    assert _drawn(by_helper, n, k) == _sampled(by_sample, n, k)
+    assert by_helper.getstate() == by_sample.getstate()

@@ -6,12 +6,13 @@ only here. Generated signed zones (nested names, delegations with glue at
 and below the cut, DS at some cuts) must give the same answers both ways,
 for names at, before, after, between and below the owners."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dnsseclab.keystore import KeyRole, generate_key
 from dnsseclab.message import DnsMessage, Edns, Rcode, make_query
 from dnsseclab.names import DnsName, canonical_compare
-from dnsseclab.records import ARdata, DsRdata, NsRdata, ResourceRecord, RType
+from dnsseclab.records import ARdata, DsRdata, NsRdata, ResourceRecord, RType, rrsigs_covering
 from dnsseclab.server import answer_authoritative
 from dnsseclab.signer import SigningPolicy, sign_zone
 from dnsseclab.zonefile import parse_zone_file
@@ -175,9 +176,23 @@ def test_indexed_lookups_match_linear_scans(text):
         assert sorted(map(repr, zone.records_at(name))) == sorted(map(repr, ref_records_at(zone, name)))
         for qtype in QTYPES:
             assert zone.records_at(name, qtype) == ref_records_at(zone, name, qtype)
+            assert list(zone.rrsigs_at(name, qtype)) == ref_sigs(zone, name, qtype)
             for do in (False, True):
                 query = make_query(name, qtype, id=7, edns=Edns(do=do))
                 assert answer_authoritative(query, [zone]) == ref_answer(query, zone), (name, qtype, do)
+
+
+@pytest.mark.parametrize("zone_fixture", ["signed_zone", "parent_zone_signed"])
+def test_signed_index_matches_records_at_and_rrsigs_covering(zone_fixture, request):
+    """For every (owner, type) of the reference zone and of its delegating
+    parent, the RRset with its RRSIGs from the index is what `records_at`
+    and `rrsigs_covering` give."""
+    zone = request.getfixturevalue(zone_fixture).zone
+    assert any(r.rtype == RType.RRSIG for r in zone.records)
+    for owner in zone.owners():
+        for rtype in {*QTYPES, *(r.rtype for r in zone.records_at(owner))}:
+            expected = rrsigs_covering(zone.records_at(owner, RType.RRSIG), owner, rtype)
+            assert list(zone.rrsigs_at(owner, rtype)) == expected, (owner, rtype)
 
 
 def test_lookup_tables_follow_appended_records():
