@@ -1,5 +1,11 @@
 """Caching recursive resolver: full iterative resolution with referral
-following, TTL cache with security ranking, and chain-of-trust validation."""
+following, TTL cache with security ranking, and chain-of-trust validation.
+
+Of a Secure reply, only the answer RRset the walk verified reaches the
+client with AD or the cache as Secure, and of the replies the walk fetched,
+only the DNSKEY or DS RRset it verified. Those keys are cached by the same
+lifetime rule as answers and served to later walks, so a warm validating
+lookup sends only its query."""
 
 from __future__ import annotations
 
@@ -14,7 +20,8 @@ from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
 from .records import RRset, RType, group_rrsets, rrsigs_covering
 from .transport import Timeout, Transport, TransportError
-from .validator import FetchFailure, Security, SignatureMemo, validate_chain
+from .validator import (FetchFailure, Security, SignatureMemo, answer_rrset,
+                        validate_chain)
 
 MAX_NEGATIVE_TTL = 3600
 #: The longest any entry is cached, whatever its TTL (RFC 8767 §4: 7 days).
@@ -158,6 +165,12 @@ def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
     raise HopLimitExceeded(f"{qname} not resolved within the hop limit")
 
 
+def _only(msg: DnsMessage, owner: DnsName, rtype: int) -> DnsMessage:
+    """`msg` with only the (owner, rtype) RRset and its RRSIGs as answers."""
+    return replace(msg, answers=[*msg.records_of(owner, rtype),
+                                 *rrsigs_covering(msg.answers, owner, rtype)])
+
+
 # ---------------------------------------------------------------------------
 # Recursive resolver
 # ---------------------------------------------------------------------------
@@ -170,7 +183,8 @@ class ResolverConfig:
 
 class RecursiveResolver:
     """Does all the work for a client: cache, iteration, validation. It owns
-    the memo of signature checks that passed, shared by all its lookups."""
+    the memo of signature checks that passed, shared by all its lookups, and
+    its cache holds the DNSKEY and DS RRsets its walks verified."""
 
     def __init__(self, hints: RootHints | list[str], transport: Transport,
                  cache: Cache | None = None,
@@ -239,13 +253,24 @@ class RecursiveResolver:
             on_response=referrals.append)
         security = Security.INSECURE
         if self.config.dnssec_enabled:
+            fetched: list[tuple[DnsName, int, DnsMessage]] = []
             outcome = validate_chain(msg, qname, qtype,
                                      list(self.config.anchors),
-                                     self._validation_fetch(), int(now),
+                                     self._validation_fetch(now, fetched), int(now),
                                      self.signature_memo)
             if outcome.status is Security.BOGUS:
                 raise ServFail(f"validation failed: {outcome.reason}")
             security = outcome.status
+            if security is Security.SECURE:
+                # Only what the walk verified is Secure (RFC 4035 §3.2.3): each
+                # fetched DNSKEY or DS RRset, and the answer RRset alone.
+                for name, rtype, reply in fetched:
+                    if reply.records_of(name, rtype):
+                        self._cache_response(name, rtype, _only(reply, name, rtype),
+                                             security, now)
+                answer = answer_rrset(msg, qname, qtype)
+                msg = (_only(msg, answer.owner, answer.rtype) if answer is not None
+                       else replace(msg, answers=[]))
         else:
             # Referral infrastructure is only trusted (and cached) when no
             # validation is in force; a validating resolver keeps only data
@@ -255,15 +280,20 @@ class RecursiveResolver:
         self._cache_response(qname, qtype, msg, security, now)
         return msg, security
 
-    def _validation_fetch(self):
-        memo: dict[tuple, DnsMessage] = {}
+    def _validation_fetch(self, now: float, fetched: list):
+        """The walk's fetch: a DNSKEY or DS RRset that an earlier walk
+        verified comes from the cache as Secure, the walk checks it again
+        against the anchor or DS (the signature memo makes that cheap), and
+        anything else is resolved from the hints and logged in `fetched`."""
 
         def fetch(name: DnsName, rtype: int) -> DnsMessage:
-            key = (name, rtype)
-            if key not in memo:
-                memo[key] = resolve_iterative(name, rtype, self.hint_addresses,
-                                              self.transport)
-            return memo[key]
+            entry = self.cache.get((name, rtype, 1), now)
+            if entry is not None and entry.security is Security.SECURE \
+                    and entry.rrset is not None:
+                return DnsMessage(answers=[*entry.rrset.records(), *entry.rrsigs])
+            reply = resolve_iterative(name, rtype, self.hint_addresses, self.transport)
+            fetched.append((name, rtype, reply))
+            return reply
 
         return fetch
 
@@ -273,7 +303,7 @@ class RecursiveResolver:
         for rrset in group_rrsets(infrastructure):
             self.cache.put(CacheEntry(
                 key=(rrset.owner, rrset.rtype, rrset.rclass), rrset=rrset,
-                inserted_at=now, expires_at=now + rrset.ttl,
+                inserted_at=now, expires_at=now + min(rrset.ttl, MAX_CACHE_TTL),
                 security=Security.INSECURE), now)
 
     def _cache_response(self, qname: DnsName, qtype: int, msg: DnsMessage,

@@ -17,7 +17,13 @@ have been checked, so a remembered pass never outlives its RRSIG. Failed
 checks are never remembered. A negative answer is Secure only when its
 proven denial fits its rcode: NXDOMAIN needs the name shown absent, NOERROR
 the type, or an empty non-terminal (a covering NSEC whose next name lies
-below the qname)."""
+below the qname).
+
+The walk gets each DNSKEY and DS RRset through its `fetch` callback, and
+checks it against the anchor or DS however it came: a `RecursiveResolver`
+answers it from the RRsets that earlier Secure walks verified, and its
+signature memo passes those checks without public-key work. Of a positive
+response, the walk verifies one RRset, the one `answer_rrset` names."""
 
 from __future__ import annotations
 
@@ -283,6 +289,13 @@ def _rrset_from(msg: DnsMessage, owner: DnsName, rtype: int) -> RRset | None:
     return RRset.from_records(records) if records else None
 
 
+def answer_rrset(response: DnsMessage, qname: DnsName, qtype: int) -> RRset | None:
+    """The one answer RRset the walk verifies: the asked type at the qname,
+    or an alias in its place."""
+    return (_rrset_from(response, qname, qtype)
+            or _rrset_from(response, qname, RType.CNAME))
+
+
 def _closest_anchor(qname: DnsName, anchors: list[TrustAnchor]) -> TrustAnchor | None:
     best = None
     for anchor in anchors:
@@ -375,9 +388,7 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
                     and RType.NS in denial.witness[0].rdata.type_bitmap):
                 return ValidationOutcome(Security.INSECURE, Reason.UNSIGNED_DELEGATION,
                                          tuple(chain))
-        # The answer, or an alias in place of the asked type.
-        answer = (_rrset_from(response, qname, qtype)
-                  or _rrset_from(response, qname, RType.CNAME))
+        answer = answer_rrset(response, qname, qtype)
         if answer is not None:
             _verified(answer, response, keys, now, memo)
         elif not _fits_rcode(response.rcode, qname, check_denial(

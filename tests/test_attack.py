@@ -81,6 +81,17 @@ def test_race_poisons_entire_domain(signed_zone):
     assert addresses == ["203.0.113.99"]
 
 
+def test_forged_rounds_cache_no_dnskey_or_ds(signed_zone, ksk):
+    """Every round of an on-path race is forged, so every walk is Bogus and
+    the validated DNSKEY and DS cache stays empty."""
+    cfg = race_cfg(validation=True, query_rounds=3, trials=1)
+    lab = build_lab(cfg, signed_zone.zone, (TrustAnchor(APEX, ksk.public),))
+    report = run_attack(cfg, lab.victim, lab.network, lab.attacker)
+    assert report.forged_matcher_hits >= cfg.query_rounds and report.successes == 0
+    assert not [entry for entry in lab.victim.cache.entries()
+                if entry.key[1] in (RType.DNSKEY, RType.DS)]
+
+
 def test_race_blocked_by_validation(signed_zone, ksk):
     cfg = race_cfg(validation=True, query_rounds=3, trials=3)
     lab = build_lab(cfg, signed_zone.zone, (TrustAnchor(APEX, ksk.public),))
@@ -169,6 +180,19 @@ def test_kaminsky_blocked_by_validation(signed_zone, ksk):
         accepted += report.forged_accepted_post_validation
         assert report.successes == 0
     assert accepted == 0
+
+
+def test_warm_validating_lookup_is_one_transaction(signed_zone, ksk):
+    """The first validating lookup fetches the anchor's DNSKEY; later ones
+    take it from the cache and send only their query."""
+    cfg = kaminsky_cfg(trials=1, validation=True)
+    lab = build_lab(cfg, signed_zone.zone, (TrustAnchor(APEX, ksk.public),))
+    for sent, name in ((2, "r0-0.domaine.ma."), (1, "r0-1.domaine.ma."),
+                       (1, "www.domaine.ma.")):
+        before = lab.network.transactions
+        reply = lab.victim.resolve_name(DnsName.from_text(name), RType.A)
+        assert "ad" in reply.flags
+        assert lab.network.transactions - before == sent
 
 
 def test_fixed_port_guesses_past_the_id_space_poison_round_one(signed_zone):

@@ -7,7 +7,10 @@ the on-path race), with and without validation, the sha256 covers
 transport tested, so a change in the order packets are tried, in where the
 accepted one stood or in the seeded draws shows here even when the report
 stays the same. The digests were taken from the packet-by-packet transport
-that the guess-table one replaced."""
+that the guess-table one replaced. The two validating Kaminsky digests were
+taken again when the resolver began to serve the walk's DNSKEY from its
+cache: each of those labs sends 19 fewer DNSKEY fetches (40 transactions
+become 21), and the ids drawn after them move."""
 
 import hashlib
 
@@ -31,9 +34,9 @@ DIGESTS = {
     ("race", "fixed", False):
         "bbf057aa78dda8195110d26868201df4fd38fca96359c9e8dec0eff5c5db2e42",
     ("kaminsky", "fixed", True):
-        "b26d71bf71d0d0d4d21bb69bc85d755b53d238f0620673adb610d3e8d388f113",
+        "bcd73369399e218ff4ef3e50ddf81552bc35693b06eb6543463f9993f2d8df3d",
     ("kaminsky", "random", True):
-        "ed522094b4e315e38ca11a44ddcda3bcc1a39b48535306ffc23fb80b7f8034e8",
+        "3811cc8c6fef712dbd0d4d8159f7c0ecc1bfecda00a8e850a9f19d0be00c9760",
     ("race", "fixed", True):
         "f3dd69a2ffbf6fac3e08e345c0b1420c8b2258051d8f77875ddb708f95e68e8b",
 }

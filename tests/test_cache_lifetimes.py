@@ -1,8 +1,10 @@
-"""How long the resolver keeps what it caches, against an authority whose
-TTLs are hostile. TTLs are not signed, so a validated RRset lives no longer
-than the RRSIG that covers it allows (RFC 4035 §5.3.3), a negative answer no
-longer than its SOA says (RFC 2308 §5), and nothing longer than
-`MAX_CACHE_TTL` (RFC 8767 §4)."""
+"""What the resolver keeps and for how long, against a hostile authority.
+TTLs are not signed, so a validated RRset lives no longer than the RRSIG
+that covers it allows (RFC 4035 §5.3.3), a negative answer no longer than
+its SOA says (RFC 2308 §5), and nothing, referral data included, longer than
+`MAX_CACHE_TTL` (RFC 8767 §4). The DNSKEY RRset a validating walk verified is
+cached by the same rule, and only an RRset the walk verified is served with
+AD or cached as Secure (RFC 4035 §3.2.3)."""
 
 from dataclasses import replace
 
@@ -12,40 +14,66 @@ from dnsseclab.keystore import TrustAnchor
 from dnsseclab.message import Rcode, decode_message, encode_message
 from dnsseclab.names import DnsName
 from dnsseclab.netsim import SimNetwork, SimTransport
-from dnsseclab.records import RType
+from dnsseclab.records import ARdata, ResourceRecord, RType
 from dnsseclab.resolver import (MAX_CACHE_TTL, MAX_NEGATIVE_TTL, RecursiveResolver,
                                 ResolverConfig)
 from dnsseclab.server import AuthoritativeService
+from dnsseclab.validator import Security
 
 from conftest import APEX, FIXED_NOW
 
 AUTHORITY = "198.51.100.53"
+#: The glue address of `ns.domaine.ma.` in the parent zone's referral.
+CHILD_AUTHORITY = "192.168.1.1"
 WWW = DnsName.from_text("www.domaine.ma.")
+MAIL = DnsName.from_text("mail.domaine.ma.")
 NOWHERE = DnsName.from_text("nowhere.domaine.ma.")
+NS = DnsName.from_text("ns.domaine.ma.")
 HOSTILE_TTL = 2 ** 31 - 1
+#: An unsigned record an attacker slips into a reply for another name.
+FORGED = ResourceRecord(MAIL, RType.A, 1, 300, ARdata("203.0.113.99"))
 
 
-def _victim(zone, rewrite, anchor=None, start=float(FIXED_NOW)):
-    """A resolver whose only server is `zone`'s authority, with every record
-    of every reply passed through `rewrite` on the way."""
+def _victim(zone, tamper, anchor=None, start=float(FIXED_NOW), parent=None):
+    """A resolver whose only server is `zone`'s authority, with every reply
+    passed through `tamper` on the way. Given a `parent` zone, its only
+    server is the parent's authority instead, which refers it to `zone` at
+    `CHILD_AUTHORITY`, and only the parent's replies are tampered with."""
     network = SimNetwork(start_time=start)
-    service = AuthoritativeService([zone])
 
-    def hostile(wire, via_tcp):
-        reply = decode_message(service.handle_wire(wire, via_tcp))
-        for section in (reply.answers, reply.authority, reply.additional):
-            section[:] = [rewrite(record) for record in section]
-        return encode_message(reply)
+    def hostile(service):
+        def handle(wire, via_tcp):
+            reply = decode_message(service.handle_wire(wire, via_tcp))
+            tamper(reply)
+            return encode_message(reply)
+        return handle
 
-    network.register(AUTHORITY, hostile)
+    if parent is None:
+        network.register(AUTHORITY, hostile(AuthoritativeService([zone])))
+    else:
+        network.register(AUTHORITY, hostile(AuthoritativeService([parent])))
+        network.register(CHILD_AUTHORITY, AuthoritativeService([zone]).handle_wire)
     config = ResolverConfig(dnssec_enabled=anchor is not None,
                             anchors=(anchor,) if anchor else ())
     return network, RecursiveResolver([AUTHORITY], SimTransport(network, "192.0.2.10"),
                                       config=config, clock=network.clock)
 
 
-def _raise_a_ttls(record):
-    return replace(record, ttl=HOSTILE_TTL) if record.rtype == RType.A else record
+def _each_record(rewrite):
+    """A tamper that passes every record of the reply through `rewrite`."""
+    def tamper(reply):
+        for section in (reply.answers, reply.authority, reply.additional):
+            section[:] = [rewrite(record) for record in section]
+    return tamper
+
+
+def _raising_ttls(*rtypes):
+    return _each_record(lambda record: replace(record, ttl=HOSTILE_TTL)
+                        if record.rtype in rtypes else record)
+
+
+def _untouched(reply):
+    pass
 
 
 def _lifetime(victim, network, qname, qtype=RType.A):
@@ -59,7 +87,7 @@ def _expiration(zone, owner, covered):
 
 
 def test_unvalidated_entry_is_capped_at_max_cache_ttl(signed_zone):
-    network, victim = _victim(signed_zone.zone, _raise_a_ttls)
+    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.A))
     victim.resolve_name(WWW)
     assert _lifetime(victim, network, WWW) == MAX_CACHE_TTL
     cached = victim.resolve_name(WWW)
@@ -67,7 +95,7 @@ def test_unvalidated_entry_is_capped_at_max_cache_ttl(signed_zone):
 
 
 def test_secure_entry_lives_no_longer_than_the_rrsig_original_ttl(signed_zone, ksk):
-    network, victim = _victim(signed_zone.zone, _raise_a_ttls, TrustAnchor(APEX, ksk.public))
+    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.A), TrustAnchor(APEX, ksk.public))
     assert "ad" in victim.resolve_name(WWW, do=True).flags
     assert {r.rdata.original_ttl for r in signed_zone.zone.records_at(WWW, RType.RRSIG)
             if r.rdata.type_covered == RType.A} == {86400}
@@ -79,7 +107,7 @@ def test_secure_entry_lives_no_longer_than_the_rrsig_original_ttl(signed_zone, k
 
 def test_secure_entry_and_ad_end_when_the_rrsig_expires(signed_zone, ksk):
     expiration = _expiration(signed_zone.zone, WWW, RType.A)
-    network, victim = _victim(signed_zone.zone, _raise_a_ttls, TrustAnchor(APEX, ksk.public),
+    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.A), TrustAnchor(APEX, ksk.public),
                               start=expiration - 1000.0)
     assert "ad" in victim.resolve_name(WWW, do=True).flags
     assert _lifetime(victim, network, WWW) <= 1000
@@ -94,7 +122,7 @@ def test_secure_entry_and_ad_end_when_the_rrsig_expires(signed_zone, ksk):
 
 def test_secure_negative_entry_ends_when_its_rrsigs_expire(signed_zone, ksk):
     expiration = _expiration(signed_zone.zone, APEX, RType.SOA)
-    network, victim = _victim(signed_zone.zone, lambda r: r, TrustAnchor(APEX, ksk.public),
+    network, victim = _victim(signed_zone.zone, _untouched, TrustAnchor(APEX, ksk.public),
                               start=expiration - 100.0)
     reply = victim.resolve_name(NOWHERE, do=True)
     assert reply.rcode == Rcode.NXDOMAIN and "ad" in reply.flags
@@ -113,6 +141,73 @@ def test_negative_entry_is_capped_by_the_soa_and_max_negative_ttl(fixture_zone, 
             return record
         return replace(record, ttl=soa_ttl, rdata=replace(record.rdata, minimum=minimum))
 
-    network, victim = _victim(fixture_zone, rewrite)
+    network, victim = _victim(fixture_zone, _each_record(rewrite))
     assert victim.resolve_name(NOWHERE).rcode == Rcode.NXDOMAIN
     assert _lifetime(victim, network, NOWHERE) == expected
+
+
+def test_referral_ns_and_glue_are_capped_at_max_cache_ttl(signed_zone, parent_zone_signed):
+    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.NS, RType.A),
+                              parent=parent_zone_signed.zone)
+    assert victim.resolve_name(WWW).rcode == Rcode.NOERROR
+    assert _lifetime(victim, network, APEX, RType.NS) == MAX_CACHE_TTL
+    assert _lifetime(victim, network, NS) == MAX_CACHE_TTL
+
+
+def test_cached_dnskey_lives_no_longer_than_its_rrsig_original_ttl(signed_zone, ksk):
+    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.DNSKEY),
+                              TrustAnchor(APEX, ksk.public))
+    assert "ad" in victim.resolve_name(WWW, do=True).flags
+    assert {r.rdata.original_ttl for r in signed_zone.zone.records_at(APEX, RType.RRSIG)
+            if r.rdata.type_covered == RType.DNSKEY} == {86400}
+    entry = victim.cache.get((APEX, RType.DNSKEY, 1), network.clock())
+    assert entry.security is Security.SECURE
+    assert _lifetime(victim, network, APEX, RType.DNSKEY) == 86400
+
+
+def test_cached_dnskey_ends_when_its_rrsig_expires(signed_zone, ksk):
+    """Until its RRSIG expires, the DNSKEY comes from the cache and a lookup
+    is one transaction; after, it is fetched again, found expired, and the
+    lookup fails."""
+    expiration = _expiration(signed_zone.zone, APEX, RType.DNSKEY)
+    assert _expiration(signed_zone.zone, MAIL, RType.A) >= expiration
+    network, victim = _victim(signed_zone.zone, _untouched, TrustAnchor(APEX, ksk.public),
+                              start=expiration - 1000.0)
+    assert "ad" in victim.resolve_name(WWW, do=True).flags
+    assert _lifetime(victim, network, APEX, RType.DNSKEY) <= 1000
+    network.advance(999)
+    sent = network.transactions
+    assert "ad" in victim.resolve_name(MAIL, do=True).flags
+    assert network.transactions == sent + 1
+    network.advance(2)  # the DNSKEY's RRSIG has expired
+    sent = network.transactions
+    late = victim.resolve_name(NOWHERE, do=True)
+    assert network.transactions == sent + 2  # the query and the DNSKEY fetch
+    assert "ad" not in late.flags and late.rcode == Rcode.SERVFAIL
+    assert victim.cache.get((APEX, RType.DNSKEY, 1), network.clock()) is None
+
+
+@pytest.mark.parametrize("tampered, qname, rcode", [
+    ((WWW, RType.A), WWW, Rcode.NOERROR),
+    ((NOWHERE, RType.A), NOWHERE, Rcode.NXDOMAIN),
+    ((APEX, RType.DNSKEY), WWW, Rcode.NOERROR),
+], ids=["positive", "nxdomain", "dnskey-fetch"])
+def test_unsigned_extra_answer_is_neither_served_with_ad_nor_cached(signed_zone, ksk,
+                                                                    tampered, qname, rcode):
+    """An unsigned RRset for another name rides in the answer section of a
+    validated reply, or of the DNSKEY reply the walk fetches. The NXDOMAIN
+    case replays only the zone's public SOA and NSEC proof, so an off-path
+    attacker who wins the id race can send it."""
+    def tamper(reply):
+        if (reply.question.name, reply.question.qtype) == tampered:
+            reply.answers.append(FORGED)
+
+    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    first = victim.resolve_name(qname, do=True)
+    assert first.rcode == rcode and "ad" in first.flags
+    assert FORGED.rdata not in [r.rdata for r in first.answers]
+    assert victim.cache.get((MAIL, RType.A, 1), network.clock()) is None
+    sent = network.transactions
+    later = victim.resolve_name(MAIL, do=True)
+    assert network.transactions > sent
+    assert [r.rdata for r in later.answers if r.rtype == RType.A] == [ARdata("192.168.1.20")]

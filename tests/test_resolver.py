@@ -10,7 +10,7 @@ from dnsseclab import message
 from dnsseclab.keystore import TrustAnchor
 from dnsseclab.message import DnsMessage, Edns, Rcode, decode_message, encode_message, make_query
 from dnsseclab.names import ROOT, DnsName
-from dnsseclab.netsim import PortPolicy, SimNetwork, SimTransport
+from dnsseclab.netsim import NO_GUESSES, PortPolicy, SimNetwork, SimTransport
 from dnsseclab.records import ARdata, NsRdata, ResourceRecord, RRset, RType
 from dnsseclab.resolver import (Cache, CacheEntry, HopLimitExceeded,
                                 RecursiveResolver, ResolverConfig,
@@ -418,33 +418,77 @@ def test_insecure_without_anchor_has_no_ad(signed_zone, parent_zone_signed):
     assert "ad" not in reply.flags
 
 
+def _corrupting(handler):
+    """`handler` with every A record of its answers rewritten to 66.6.6.6."""
+    def wrapped(wire, tcp):
+        reply = handler(wire, tcp)
+        if reply is None:
+            return None
+        msg = decode_message(reply)
+        changed = False
+        for record in msg.answers:
+            if record.rtype == RType.A:
+                msg.answers[msg.answers.index(record)] = ResourceRecord(
+                    record.owner, record.rtype, record.rclass, record.ttl,
+                    ARdata("66.6.6.6"))
+                changed = True
+        return encode_message(msg) if changed else reply
+    return wrapped
+
+
 def test_bogus_answer_becomes_servfail_and_never_cached(
         signed_zone, parent_zone_signed, ksk):
     net = build_hierarchy(signed_zone, parent_zone_signed)
-
-    def corrupting(handler):
-        def wrapped(wire, tcp):
-            reply = handler(wire, tcp)
-            if reply is None:
-                return None
-            msg = decode_message(reply)
-            changed = False
-            for record in msg.answers:
-                if record.rtype == RType.A:
-                    msg.answers[msg.answers.index(record)] = ResourceRecord(
-                        record.owner, record.rtype, record.rclass, record.ttl,
-                        ARdata("66.6.6.6"))
-                    changed = True
-            return encode_message(msg) if changed else reply
-        return wrapped
-
-    net.hosts[CHILD_ADDR] = corrupting(net.hosts[CHILD_ADDR])
+    net.hosts[CHILD_ADDR] = _corrupting(net.hosts[CHILD_ADDR])
     resolver = make_victim(net, dnssec=True,
                            anchors=[TrustAnchor(APEX, ksk.public)])
     reply = resolver.resolve_name(WWW, RType.A, do=True)
     assert reply.rcode == Rcode.SERVFAIL
     assert not reply.answers
     assert resolver.cache.get((WWW, RType.A, 1), net.clock()) is None
+
+
+class _QueryLog:
+    """An off-path tap that records the question of every query and forges
+    nothing."""
+    on_path = False
+
+    def __init__(self):
+        self.questions = []
+
+    def on_query(self, event):
+        self.questions.append((event.qname, event.qtype))
+        return NO_GUESSES
+
+
+def test_ds_chain_is_served_from_the_cache_on_the_next_lookup(
+        signed_zone, parent_zone_signed, parent_ksk):
+    """Anchored at `ma.`, the first lookup fetches `ma.` DNSKEY, the DS of
+    `domaine.ma.` and its DNSKEY; the next one fetches none of them."""
+    net = build_hierarchy(signed_zone, parent_zone_signed)
+    log = _QueryLog()
+    net.add_tap(log)
+    resolver = make_victim(net, dnssec=True,
+                           anchors=[TrustAnchor(MA, parent_ksk.public)])
+    keys = {(MA, RType.DNSKEY), (APEX, RType.DS), (APEX, RType.DNSKEY)}
+    assert "ad" in resolver.resolve_name(WWW, RType.A).flags
+    assert keys <= set(log.questions)
+    for name, rtype in keys:
+        entry = resolver.cache.get((name, rtype, 1), net.clock())
+        assert entry.security is Security.SECURE
+    log.questions.clear()
+    reply = resolver.resolve_name(DnsName.from_text("mail.domaine.ma."), RType.A)
+    assert "ad" in reply.flags
+    assert {rtype for _, rtype in log.questions} == {RType.A}
+
+
+def test_bogus_walk_caches_no_dnskey_or_ds(signed_zone, parent_zone_signed, parent_ksk):
+    net = build_hierarchy(signed_zone, parent_zone_signed)
+    net.hosts[CHILD_ADDR] = _corrupting(net.hosts[CHILD_ADDR])
+    resolver = make_victim(net, dnssec=True,
+                           anchors=[TrustAnchor(MA, parent_ksk.public)])
+    assert resolver.resolve_name(WWW, RType.A).rcode == Rcode.SERVFAIL
+    assert resolver.cache.entries() == []
 
 
 def test_negative_answer_cached_with_bounded_ttl(signed_zone, parent_zone_signed):
