@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import struct
+import threading
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -363,12 +364,16 @@ class RrsigRdata(_WireOnce):
         return self._head() + self.signer_name.to_wire() + self.signature
 
     def canonical_wire(self) -> bytes:
-        return self._head() + self.signer_name.canonical_wire() + self.signature
+        return self.signed_prefix() + self.signature
+
+    @cached_property
+    def _signed_prefix(self) -> bytes:
+        return self._head() + self.signer_name.canonical_wire()
 
     def signed_prefix(self) -> bytes:
         """The RRSIG RDATA with the signature field excluded, in the canonical
-        form that prefixes the data a signature covers."""
-        return self._head() + self.signer_name.canonical_wire()
+        form that prefixes the data a signature covers; computed once."""
+        return self._signed_prefix
 
     @classmethod
     def from_wire(cls, msg, offset, end):
@@ -495,10 +500,34 @@ RDATA_CLASSES = {
 }
 
 
+#: Most RDATA values `rdata_from_wire` keeps, and the most octets one may
+#: span: at most about 1 MiB of octets in all.
+INTERN_ENTRIES = 1024
+INTERN_OCTETS = 1024
+_interned: dict[tuple[int, bytes], object] = {}
+_interned_lock = threading.Lock()
+
+
 def rdata_from_wire(rtype: int, msg: bytes, offset: int, end: int):
     """Decode the `rtype` RDATA in `msg[offset:end]`; return it and the offset
-    where its decoder stopped, which is `end` for a well-formed record."""
-    return RDATA_CLASSES.get(rtype, OpaqueRdata).from_wire(msg, offset, end)
+    where its decoder stopped, which is `end` for a well-formed record.
+
+    This is the one way into the RDATA decoders. An RDATA whose decoder
+    stopped at `end` and whose wire form gives back its octets held no
+    compression pointer, so its value depends on those octets alone: it is
+    kept, keyed by type and octets, and the same octets later return the
+    same immutable object. Failures are never kept."""
+    key = (rtype, msg[offset:end])
+    rdata = _interned.get(key)
+    if rdata is not None:
+        return rdata, end
+    rdata, stop = RDATA_CLASSES.get(rtype, OpaqueRdata).from_wire(msg, offset, end)
+    if stop == end and end - offset <= INTERN_OCTETS and rdata.to_wire() == key[1]:
+        with _interned_lock:
+            if len(_interned) >= INTERN_ENTRIES:
+                _interned.clear()
+            _interned[key] = rdata
+    return rdata, stop
 
 
 def rdata_from_text(rtype: int, tokens: list[str], origin: DnsName | None):

@@ -1,11 +1,11 @@
 """Caching recursive resolver: full iterative resolution with referral
 following, TTL cache with security ranking, and chain-of-trust validation.
 
-Of a Secure reply, only the answer RRset the walk verified reaches the
-client with AD or the cache as Secure, and of the replies the walk fetched,
-only the DNSKEY or DS RRset it verified. Those keys are cached by the same
-lifetime rule as answers and served to later walks, so a warm validating
-lookup sends only its query."""
+Of a Secure reply, only the answer RRset the walk verified, or the NSEC
+witnesses and SOA of its denial, reach the client with AD or the cache as
+Secure, and of the replies the walk fetched, only the DNSKEY or DS RRset it
+verified. Those keys are cached by the same lifetime rule as answers and
+served to later walks, so a warm validating lookup sends only its query."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .names import DnsName
 from .records import RRset, RType, group_rrsets, rrsigs_covering
 from .transport import Timeout, Transport, TransportError
 from .validator import (FetchFailure, Security, SignatureMemo, answer_rrset,
-                        validate_chain)
+                        proven_authority, validate_chain)
 
 MAX_NEGATIVE_TTL = 3600
 #: The longest any entry is cached, whatever its TTL (RFC 8767 §4: 7 days).
@@ -263,14 +263,16 @@ class RecursiveResolver:
             security = outcome.status
             if security is Security.SECURE:
                 # Only what the walk verified is Secure (RFC 4035 §3.2.3): each
-                # fetched DNSKEY or DS RRset, and the answer RRset alone.
+                # fetched DNSKEY or DS RRset, and the answer RRset alone or
+                # the denial's NSEC witnesses and SOA.
                 for name, rtype, reply in fetched:
                     if reply.records_of(name, rtype):
                         self._cache_response(name, rtype, _only(reply, name, rtype),
                                              security, now)
                 answer = answer_rrset(msg, qname, qtype)
-                msg = (_only(msg, answer.owner, answer.rtype) if answer is not None
-                       else replace(msg, answers=[]))
+                msg = (replace(_only(msg, answer.owner, answer.rtype), authority=[])
+                       if answer is not None
+                       else replace(msg, answers=[], authority=proven_authority(msg)))
         else:
             # Referral infrastructure is only trusted (and cached) when no
             # validation is in force; a validating resolver keeps only data

@@ -17,13 +17,15 @@ have been checked, so a remembered pass never outlives its RRSIG. Failed
 checks are never remembered. A negative answer is Secure only when its
 proven denial fits its rcode: NXDOMAIN needs the name shown absent, NOERROR
 the type, or an empty non-terminal (a covering NSEC whose next name lies
-below the qname).
+below the qname); and the SOA it carries must verify like any other RRset.
 
 The walk gets each DNSKEY and DS RRset through its `fetch` callback, and
 checks it against the anchor or DS however it came: a `RecursiveResolver`
 answers it from the RRsets that earlier Secure walks verified, and its
 signature memo passes those checks without public-key work. Of a positive
-response, the walk verifies one RRset, the one `answer_rrset` names."""
+response, the walk verifies one RRset, the one `answer_rrset` names; of a
+negative one, the NSEC witnesses and the SOA, which `proven_authority`
+names."""
 
 from __future__ import annotations
 
@@ -296,6 +298,26 @@ def answer_rrset(response: DnsMessage, qname: DnsName, qtype: int) -> RRset | No
             or _rrset_from(response, qname, RType.CNAME))
 
 
+def _soa_records(response: DnsMessage) -> list[ResourceRecord]:
+    """The SOA RRset a negative answer carries: the SOA records in the
+    authority section with the owner and class of the first one."""
+    first = next((r for r in response.authority if r.rtype == RType.SOA), None)
+    return [r for r in response.authority if r.rtype == RType.SOA
+            and (r.owner, r.rclass) == (first.owner, first.rclass)] if first else []
+
+
+def proven_authority(response: DnsMessage) -> list[ResourceRecord]:
+    """The authority records the walk verified for a negative answer, in
+    their order: the NSEC witnesses, the SOA RRset, and the RRSIGs over
+    them. A Secure negative answer is served and cached with these alone."""
+    proven = {record for witness in nsec_witnesses(response) for record in witness}
+    soa = _soa_records(response)
+    if soa:
+        proven.update(soa)
+        proven.update(rrsigs_covering(response.authority, soa[0].owner, RType.SOA))
+    return [r for r in response.authority if r in proven]
+
+
 def _closest_anchor(qname: DnsName, anchors: list[TrustAnchor]) -> TrustAnchor | None:
     best = None
     for anchor in anchors:
@@ -312,11 +334,11 @@ def nsec_witnesses(msg: DnsMessage) -> list[tuple[ResourceRecord, ResourceRecord
             for sig in rrsigs_covering(msg.authority, record.owner, RType.NSEC)]
 
 
-def _verified(rrset: RRset, msg: DnsMessage, keys: tuple[DnskeyRdata, ...],
+def _verified(rrset: RRset, section: list, keys: tuple[DnskeyRdata, ...],
               now: int, memo: SignatureMemo) -> DnskeyRdata:
     """The one verification step of the walk: the key under which an RRSIG
-    in `msg`'s answer section validates `rrset`; else raises `_Bogus`."""
-    sigs = [r.rdata for r in rrsigs_covering(msg.answers, rrset.owner, rrset.rtype)]
+    among the `section` records validates `rrset`; else raises `_Bogus`."""
+    sigs = [r.rdata for r in rrsigs_covering(section, rrset.owner, rrset.rtype)]
     result, key = verify_with_any(rrset, sigs, keys, now, memo)
     if result is not SigCheck.VALID:
         raise _Bogus(_SIG_REASONS[result])
@@ -334,7 +356,7 @@ def _zone_keys(zone: DnsName, msg: DnsMessage, trusted: Callable[[DnskeyRdata], 
     entry_keys = [key for key in rrset.rdatas if trusted(key)]
     if not entry_keys:
         raise _Bogus(mismatch)
-    chain.append((zone, _verified(rrset, msg, entry_keys, now, memo).key_tag()))
+    chain.append((zone, _verified(rrset, msg.answers, entry_keys, now, memo).key_tag()))
     return rrset.rdatas
 
 
@@ -372,7 +394,7 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
             ds_msg = fetch(child, RType.DS)
             ds_rrset = _rrset_from(ds_msg, child, RType.DS)
             if ds_rrset is not None:
-                _verified(ds_rrset, ds_msg, keys, now, memo)
+                _verified(ds_rrset, ds_msg.answers, keys, now, memo)
                 keys = _zone_keys(child, fetch(child, RType.DNSKEY),
                                   lambda key: any(match_ds(ds, key, child)
                                                   for ds in ds_rrset.rdatas),
@@ -390,10 +412,14 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
                                          tuple(chain))
         answer = answer_rrset(response, qname, qtype)
         if answer is not None:
-            _verified(answer, response, keys, now, memo)
-        elif not _fits_rcode(response.rcode, qname, check_denial(
-                qname, qtype, nsec_witnesses(response), keys, now, memo)):
-            raise _Bogus(Reason.INVALID_DENIAL)
+            _verified(answer, response.answers, keys, now, memo)
+        else:
+            if not _fits_rcode(response.rcode, qname, check_denial(
+                    qname, qtype, nsec_witnesses(response), keys, now, memo)):
+                raise _Bogus(Reason.INVALID_DENIAL)
+            soa = _soa_records(response)
+            if soa:
+                _verified(RRset.from_records(soa), response.authority, keys, now, memo)
     except _Bogus as bogus:
         return ValidationOutcome(Security.BOGUS, bogus.reason, tuple(chain))
     return ValidationOutcome(Security.SECURE, None, tuple(chain))

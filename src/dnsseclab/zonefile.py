@@ -98,13 +98,15 @@ class Zone:
         return set(self._index().cuts)
 
     def deepest_cut(self, name: DnsName) -> DnsName | None:
-        """The deepest delegation cut at or above `name`."""
+        """The deepest delegation cut at or above `name`. Cuts lie strictly
+        below the apex, so the walk stops at the apex's depth."""
         cuts = self._index().cuts
-        while name not in cuts:
-            if not name.labels:
-                return None
+        apex_depth = len(self.apex.labels)
+        while len(name.labels) > apex_depth:
+            if name in cuts:
+                return name
             name = name.parent()
-        return name
+        return None
 
     def is_glue(self, owner: DnsName) -> bool:
         """True when `owner` lies strictly below a delegation cut."""

@@ -211,3 +211,42 @@ def test_unsigned_extra_answer_is_neither_served_with_ad_nor_cached(signed_zone,
     later = victim.resolve_name(MAIL, do=True)
     assert network.transactions > sent
     assert [r.rdata for r in later.answers if r.rtype == RType.A] == [ARdata("192.168.1.20")]
+
+
+def test_unsigned_extra_authority_record_is_neither_served_with_ad_nor_cached(signed_zone,
+                                                                              ksk):
+    """The walk verifies a negative answer's NSEC witnesses and SOA; an
+    unsigned record appended to the authority section of the NXDOMAIN is
+    none of them, so neither the fresh reply nor the cached one keeps it."""
+    def tamper(reply):
+        if reply.question.name == NOWHERE:
+            reply.authority.append(FORGED)
+
+    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    fresh = victim.resolve_name(NOWHERE, do=True)
+    sent = network.transactions
+    cached = victim.resolve_name(NOWHERE, do=True)
+    assert network.transactions == sent
+    for reply in (fresh, cached):
+        assert reply.rcode == Rcode.NXDOMAIN and "ad" in reply.flags
+        assert FORGED.rdata not in [r.rdata for r in reply.authority]
+        assert {r.rtype for r in reply.authority} == {RType.SOA, RType.NSEC, RType.RRSIG}
+    assert victim.cache.get((MAIL, RType.A, 1), network.clock()) is None
+
+
+def test_corrupted_soa_signature_fails_validation(signed_zone, ksk):
+    """The SOA of a negative answer is checked like its NSEC witnesses: a
+    flipped bit in its RRSIG makes the answer Bogus, so the client gets
+    SERVFAIL and nothing is cached."""
+    def corrupt(record):
+        if record.rtype != RType.RRSIG or record.rdata.type_covered != RType.SOA:
+            return record
+        signature = record.rdata.signature
+        flipped = bytes([signature[0] ^ 1]) + signature[1:]
+        return replace(record, rdata=replace(record.rdata, signature=flipped))
+
+    network, victim = _victim(signed_zone.zone, _each_record(corrupt),
+                              TrustAnchor(APEX, ksk.public))
+    reply = victim.resolve_name(NOWHERE, do=True)
+    assert reply.rcode == Rcode.SERVFAIL and "ad" not in reply.flags
+    assert victim.cache.get((NOWHERE, RType.A, 1), network.clock()) is None

@@ -73,9 +73,10 @@ def test_reference_lab_verifies_once_per_signature(signed_zone, ksk, verifies):
         reply = victim.resolve_name(DnsName.from_text(qname))
         assert reply.rcode == Rcode.NXDOMAIN and "ad" in reply.flags
         per_lookup.append(verifies[0] - before)
-    # Cold: the anchor's DNSKEY RRset and the NSEC ns2 -> www; warm: neither.
-    assert per_lookup == [2, 0, 0]
-    assert len(victim.signature_memo) == 2
+    # Cold: the anchor's DNSKEY RRset, the NSEC ns2 -> www and the SOA; warm:
+    # none of them.
+    assert per_lookup == [3, 0, 0]
+    assert len(victim.signature_memo) == 3
     www = DnsName.from_text("www.domaine.ma.")
     for expected in (1, 0):  # the A RRset, then nothing once the cache is cleared
         before = verifies[0]
@@ -89,11 +90,12 @@ def test_every_link_of_a_second_walk_is_remembered(signed_zone, parent_zone_sign
     anchors = [TrustAnchor(MA, parent_ksk.public)]
     fetch = make_fetcher([parent_zone_signed.zone, signed_zone.zone])
     memo = SignatureMemo()
-    for qname, links in (("www.domaine.ma.", 4), ("absent.domaine.ma.", 1)):
+    for qname, links in (("www.domaine.ma.", 4), ("absent.domaine.ma.", 2)):
         qname = DnsName.from_text(qname)
         response = answer_authoritative(make_query(qname, RType.A, edns=Edns(do=True)),
                                         [signed_zone.zone])
-        # Anchor DNSKEY, DS, child DNSKEY and the answer or its NSEC, then none.
+        # Anchor DNSKEY, DS, child DNSKEY and the answer, or its NSEC and SOA;
+        # then none.
         for expected in (links, 0):
             before = verifies[0]
             outcome = validate_chain(response, qname, RType.A, anchors, fetch,

@@ -1,21 +1,28 @@
 """Pinned signed output: the sha256 of `serialize_zone(sign_zone(...))` for
 two zones signed with seeded keys at a fixed instant. The digests were taken
 from the linear-scan `Zone` helpers, so any change to the zone bookkeeping
-that alters one signed byte fails here."""
+that alters one signed byte fails here. The `SignatureMemo` keys of the
+reference zone's signatures are pinned too; their digest was taken when each
+RRSIG still rebuilt its signed prefix on every call."""
 
 import hashlib
 import random
+import struct
 
 from dnsseclab.keystore import KeyRole, generate_key
 from dnsseclab.names import DnsName
-from dnsseclab.records import DsRdata
+from dnsseclab.records import DsRdata, RType, canonical_rrset_bytes, group_rrsets
 from dnsseclab.signer import SigningPolicy, sign_zone
+from dnsseclab.validator import SigCheck, SignatureMemo, verify_with_any
 from dnsseclab.zonefile import parse_zone_file, serialize_zone
 
 from conftest import APEX, FIXED_NOW, ZONE_TEXT
 
 REFERENCE_DIGEST = "8667761b9c26ad23f11ddc43fddb0232a263f7a7019ab09b74e24b8aff7246f4"
 GENERATED_DIGEST = "83e2f5c8c2a575a483dca600d6bb1d99b0fa041659292425b3a89c05ffc23520"
+#: sha256 over the memo key (key RDATA, signature, sha256 of the signed data)
+#: of each of the reference zone's 18 signatures, in `group_rrsets` order.
+MEMO_KEYS_DIGEST = "0ecd2614123852d181d1e0773b9db84f6590b8d1d7c9ebd7b0631e2df289bfb7"
 
 GEN_APEX = DnsName.from_text("pinned.example.")
 
@@ -57,3 +64,32 @@ def test_generated_zone_signed_bytes_are_pinned():
     ksk = generate_key(GEN_APEX, KeyRole.KSK, bits=512, rng=72, now=FIXED_NOW)
     zone = parse_zone_file(generated_zone_text(), GEN_APEX)
     assert signed_digest(zone, zsk, ksk) == GENERATED_DIGEST
+
+
+def test_signed_prefix_is_built_once_and_memo_keys_are_pinned(zsk, ksk):
+    """Each RRSIG object builds its signed prefix once; the prefix is the
+    RRSIG's fixed fields and canonical signer name, and the memo keys it
+    feeds are the pinned bytes."""
+    zone = sign_zone(parse_zone_file(ZONE_TEXT, APEX), zsk, ksk, SigningPolicy(),
+                     FIXED_NOW).zone
+    keys = [r.rdata for r in zone.records_at(APEX, RType.DNSKEY)]
+    memo = SignatureMemo()
+    digest = hashlib.sha256()
+    signatures = 0
+    for rrset in group_rrsets(r for r in zone.records if r.rtype != RType.RRSIG):
+        for sig in (r.rdata for r in zone.rrsigs_at(rrset.owner, rrset.rtype)):
+            prefix = sig.signed_prefix()
+            assert sig.signed_prefix() is prefix
+            assert prefix == struct.pack(
+                ">HBBIIIH", sig.type_covered, sig.algorithm, sig.labels, sig.original_ttl,
+                sig.expiration, sig.inception, sig.key_tag) + sig.signer_name.canonical_wire()
+            result, key = verify_with_any(rrset, [sig], keys, FIXED_NOW, memo)
+            assert result is SigCheck.VALID
+            data = prefix + canonical_rrset_bytes(rrset, sig.original_ttl)
+            check = (key.to_wire(), sig.signature, hashlib.sha256(data).digest())
+            assert check in memo
+            for part in check:
+                digest.update(part)
+            signatures += 1
+    assert signatures == len(memo) == 18
+    assert digest.hexdigest() == MEMO_KEYS_DIGEST

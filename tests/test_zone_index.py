@@ -148,10 +148,23 @@ def zone_text_st(draw):
     return "\n".join(lines) + "\n"
 
 
+def outside_names(zone):
+    """The apex, every name above it, and names outside the zone, one of
+    them deeper than the apex."""
+    names = {DnsName.from_text("elsewhere.test."),
+             DnsName.from_text("a.b.c.d.e.elsewhere.test.")}
+    name = zone.apex
+    while name.labels:
+        names.add(name)
+        name = name.parent()
+    return names | {name}
+
+
 def probe_names(zone):
     """Every owner, plus names just before, between, after and below each
-    one in canonical order, and one name outside the zone."""
-    names = {DnsName.from_text("elsewhere.test.")}
+    one in canonical order, and the apex, the names above it and names
+    outside the zone."""
+    names = outside_names(zone)
     for owner in {r.owner for r in zone.records}:
         names.add(owner)
         names.add(DnsName.from_text("0", owner))       # first child: right after
@@ -193,6 +206,23 @@ def test_signed_index_matches_records_at_and_rrsigs_covering(zone_fixture, reque
         for rtype in {*QTYPES, *(r.rtype for r in zone.records_at(owner))}:
             expected = rrsigs_covering(zone.records_at(owner, RType.RRSIG), owner, rtype)
             assert list(zone.rrsigs_at(owner, rtype)) == expected, (owner, rtype)
+
+
+@pytest.mark.parametrize("zone_fixture", ["signed_zone", "parent_zone_signed"])
+def test_deepest_cut_matches_the_linear_scan(zone_fixture, request):
+    """The cut walk stops at the apex's depth. For the reference zone and
+    its delegating parent, every owner, names one and three labels below
+    each cut, the apex, the names above it and names outside the zone get
+    the scan's cut and glue answers."""
+    zone = request.getfixturevalue(zone_fixture).zone
+    names = zone.owners() | outside_names(zone)
+    for cut in ref_delegations(zone):
+        names |= {DnsName.from_text("x", cut), DnsName.from_text("a.b.c", cut)}
+    assert any(zone.deepest_cut(name) is not None for name in names) \
+        == bool(ref_delegations(zone))
+    for name in names:
+        assert zone.deepest_cut(name) == ref_deepest_cut(zone, name), name
+        assert zone.is_glue(name) == ref_is_glue(zone, name), name
 
 
 def test_lookup_tables_follow_appended_records():
