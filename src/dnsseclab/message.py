@@ -99,8 +99,8 @@ class DnsMessage:
                 ("additional", self.additional))
 
     def records_of(self, owner, rtype) -> list:
-        """The answer records with this owner and type."""
-        return [r for r in self.answers if r.owner == owner and r.rtype == rtype]
+        """The answer records with this owner and type in class IN, the one class asked for."""
+        return [r for r in self.answers if r.owner == owner and r.rtype == rtype and r.rclass == 1]
 
 
 def make_query(name: DnsName, qtype: int, *, id: int = 0, rd: bool = False,

@@ -213,6 +213,25 @@ def test_unsigned_extra_answer_is_neither_served_with_ad_nor_cached(signed_zone,
     assert [r.rdata for r in later.answers if r.rtype == RType.A] == [ARdata("192.168.1.20")]
 
 
+def test_other_class_copy_of_an_answer_record_is_neither_served_nor_cached(signed_zone, ksk):
+    """A class-3 copy of one of the signed A records rides in the answer
+    section. The resolver asks only for class IN, so the walk verifies the
+    IN RRset alone instead of failing on a set of mixed classes."""
+    def tamper(reply):
+        if (reply.question.name, reply.question.qtype) == (WWW, RType.A):
+            first = next(r for r in reply.answers if r.rtype == RType.A)
+            reply.answers.append(replace(first, rclass=3))
+
+    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    reply = victim.resolve_name(WWW, do=True)
+    assert reply.rcode == Rcode.NOERROR and "ad" in reply.flags
+    served = [r for r in reply.answers if r.rtype == RType.A]
+    assert sorted(r.rdata.address for r in served) == sorted(
+        r.rdata.address for r in signed_zone.zone.records_at(WWW, RType.A))
+    assert {r.rclass for r in served} == {1}
+    assert victim.cache.get((WWW, RType.A, 3), network.clock()) is None
+
+
 def test_unsigned_extra_authority_record_is_neither_served_with_ad_nor_cached(signed_zone,
                                                                               ksk):
     """The walk verifies a negative answer's NSEC witnesses and SOA; an

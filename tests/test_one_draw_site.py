@@ -1,11 +1,16 @@
-"""The attacker's guesses are drawn in one place.
+"""The attacker's guesses, and the RSA prime candidates, are each drawn in
+one place.
 
 The pinned lab reports (`tests/test_attack_reports.py`) depend on every word
 the attacker's RNG gives. `netsim.draw_guesses` reproduces `rng.sample`
 word for word; a second draw path in `attack.py` or `netsim.py` (another
 `.sample` or `.getrandbits`) could take words in another order and move the
 reports without any check here noticing why. So `.sample` and
-`.getrandbits` appear in those two modules only inside `draw_guesses`."""
+`.getrandbits` appear in those two modules only inside `draw_guesses`.
+
+Every seeded key, and so every pinned signature and digest, depends on the
+words `rsa._generate_prime` draws for its candidates; in `rsa.py` the two
+draws appear only inside it."""
 
 import ast
 from pathlib import Path
@@ -13,9 +18,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dnsseclab"
-MODULES = ("attack.py", "netsim.py")
+#: The one scope of each module in which it may draw.
+MODULES = {"attack.py": "draw_guesses", "netsim.py": "draw_guesses",
+           "rsa.py": "_generate_prime"}
 DRAWS = {"sample", "getrandbits"}
-ALLOWED_SCOPE = "draw_guesses"
 
 
 def _scoped_nodes(tree):
@@ -39,11 +45,11 @@ def _is_draw(node) -> bool:
     return False
 
 
-def stray_draws(source: str) -> list[tuple[str, int]]:
+def stray_draws(source: str, allowed: str = "draw_guesses") -> list[tuple[str, int]]:
     """(enclosing scope, line) of each use of `.sample` or `.getrandbits`
-    outside `draw_guesses`."""
+    outside the `allowed` scope."""
     return [(scope, node.lineno) for scope, node in _scoped_nodes(ast.parse(source))
-            if _is_draw(node) and scope != ALLOWED_SCOPE]
+            if _is_draw(node) and scope != allowed]
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -63,6 +69,13 @@ def test_checker_flags_only_stray_draws(source, expected):
     assert stray_draws(source) == expected
 
 
+def test_checker_takes_each_module_s_own_scope():
+    source = ("def _generate_prime(bits, rng):\n    return rng.getrandbits(bits)\n"
+              "def generate_keypair(bits, rng):\n    return rng.getrandbits(bits)\n")
+    assert stray_draws(source, "_generate_prime") == [("generate_keypair", 4)]
+    assert stray_draws(source) == [("_generate_prime", 2), ("generate_keypair", 4)]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_guesses_are_drawn_in_one_place(name):
-    assert stray_draws((SRC / name).read_text(encoding="utf-8")) == []
+    assert stray_draws((SRC / name).read_text(encoding="utf-8"), MODULES[name]) == []
