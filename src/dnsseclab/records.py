@@ -607,9 +607,9 @@ class RRset:
 
 def rrsigs_covering(records: Iterable[ResourceRecord], owner: DnsName,
                     rtype: int) -> list[ResourceRecord]:
-    """The RRSIG records among `records` at `owner` that cover `rtype`."""
+    """The class-IN RRSIG records among `records` at `owner` that cover `rtype`."""
     return [r for r in records if r.rtype == RType.RRSIG and r.owner == owner
-            and r.rdata.type_covered == rtype]
+            and r.rclass == RClass.IN and r.rdata.type_covered == rtype]
 
 
 class TtlMismatchWarning(UserWarning):

@@ -232,6 +232,23 @@ def test_other_class_copy_of_an_answer_record_is_neither_served_nor_cached(signe
     assert victim.cache.get((WWW, RType.A, 3), network.clock()) is None
 
 
+def test_other_class_copy_of_an_answer_rrsig_is_neither_served_nor_cached(signed_zone, ksk):
+    """A class-3 copy of the RRSIG over the A RRset keeps its RDATA, so it
+    would verify against the IN RRset; only class-IN RRSIGs cover it."""
+    def tamper(reply):
+        if (reply.question.name, reply.question.qtype) == (WWW, RType.A):
+            sig = next(r for r in reply.answers if r.rtype == RType.RRSIG)
+            reply.answers.append(replace(sig, rclass=3))
+
+    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    reply = victim.resolve_name(WWW, do=True)
+    assert reply.rcode == Rcode.NOERROR and "ad" in reply.flags
+    assert {r.rclass for r in reply.answers} == {1}
+    entry = victim.cache.get((WWW, RType.A, 1), network.clock())
+    assert entry is not None and entry.rrsigs
+    assert {r.rclass for r in entry.rrsigs} == {1}
+
+
 def test_unsigned_extra_authority_record_is_neither_served_with_ad_nor_cached(signed_zone,
                                                                               ksk):
     """The walk verifies a negative answer's NSEC witnesses and SOA; an

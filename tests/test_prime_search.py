@@ -1,6 +1,6 @@
 """The prime search sieves candidates by gcd and still finds the same primes.
 
-`rsa._is_probable_prime` rejects a candidate past 2**32 by its gcd with the
+`rsa._is_probable_prime` rejects a candidate of 1 000 or more by its gcd with the
 product of the small primes before any Miller-Rabin round. It must answer as
 the plain trial-division test below does, and a seed must still give the
 same key and leave its RNG in the same state, since every pinned signature
