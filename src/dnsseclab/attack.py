@@ -13,8 +13,8 @@ from .keystore import TrustAnchor, load_trust_anchors
 from .message import decode_message, encode_message, make_query, make_reply
 from .names import ROOT, DnsName
 from .records import ARdata, NsRdata, ResourceRecord, RType
-from .netsim import (NO_GUESSES, TXID_SPACE, GuessTable, PortPolicy, QueryEvent,
-                     SimNetwork, SimTransport, draw_guesses)
+from .netsim import (NO_GUESSES, TXID_SPACE, GuessStream, GuessTable, PortPolicy,
+                     QueryEvent, SimNetwork, SimTransport)
 from .resolver import Cache, RecursiveResolver, ResolverConfig
 from .server import AuthoritativeService
 from .zonefile import Zone, load_zone_file
@@ -127,6 +127,9 @@ class KaminskyAttacker:
         self.evil_ns = DnsName.from_text("ns.evil.example.")
         self._rdatas = frozenset((NsRdata(self.evil_ns), ARdata(ATTACKER_ADDRESS),
                                   ARdata(EVIL_IP)))
+        # A guess is GuessTable.key(port, txid): the txid alone at the fixed port.
+        space = TXID_SPACE * (1 if cfg.port_mode == "fixed" else cfg.port_space)
+        self._guesses = GuessStream(rng, space, min(cfg.forged_per_query, space))
 
     def arm(self, qname: DnsName) -> None:
         self.armed_qname = qname
@@ -149,10 +152,7 @@ class KaminskyAttacker:
     def on_query(self, event: QueryEvent) -> GuessTable:
         if event.dst != AUTHORITY_ADDRESS or event.qname != self.armed_qname:
             return NO_GUESSES
-        # A guess is GuessTable.key(port, txid): the txid alone at the fixed port.
-        space = TXID_SPACE * (1 if self.cfg.port_mode == "fixed" else self.cfg.port_space)
-        positions = draw_guesses(self.rng, space, min(self.cfg.forged_per_query, space))
-        return GuessTable(AUTHORITY_ADDRESS, positions,
+        return GuessTable(AUTHORITY_ADDRESS, self._guesses.draw(),
                           partial(self.forged_referral, event.qname, event.qtype))
 
 
@@ -166,7 +166,7 @@ class RaceSpoofAttacker(KaminskyAttacker):
         if (event.dst != AUTHORITY_ADDRESS or event.qname != self.armed_qname
                 or self.cfg.forged_per_query < 1):
             return NO_GUESSES
-        return GuessTable(AUTHORITY_ADDRESS, {GuessTable.key(event.src_port, event.txid): 0},
+        return GuessTable(AUTHORITY_ADDRESS, {GuessTable.key(event.src_port, event.txid): None},
                           partial(self.forged_referral, event.qname, event.qtype))
 
 

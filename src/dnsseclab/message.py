@@ -54,18 +54,26 @@ class TooManyRecords(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     name: DnsName
     qtype: int
     qclass: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edns:
     version: int = 0
     do: bool = False
     udp_payload: int = 4096
+
+    @classmethod
+    def shared(cls, version: int = 0, do: bool = False, udp_payload: int = 4096) -> Edns:
+        """`Edns(...)`, one shared object for each value queries and replies carry."""
+        return _SHARED_EDNS.get((version, do, udp_payload)) or cls(version, do, udp_payload)
+
+
+_SHARED_EDNS = {(e.version, e.do, e.udp_payload): e for e in (Edns(), Edns(do=True))}
 
 
 @dataclass
@@ -81,9 +89,8 @@ class DnsMessage:
 
     def __post_init__(self):
         self.flags = frozenset(self.flags)
-        unknown = self.flags - _FLAG_NAMES
-        if unknown:
-            raise ValueError(f"unknown flags {sorted(unknown)}")
+        if not self.flags <= _FLAG_NAMES:
+            raise ValueError(f"unknown flags {sorted(self.flags - _FLAG_NAMES)}")
 
     @property
     def question(self) -> Question | None:
@@ -113,7 +120,7 @@ def make_query(name: DnsName, qtype: int, *, id: int = 0, rd: bool = False,
 def make_reply(query: DnsMessage, *flags: str, rcode: int = Rcode.NOERROR) -> DnsMessage:
     """The empty reply to `query`: its id and question, its rd bit echoed, qr
     and `flags` set, and EDNS (DO echoed, payload 4096) when the query had EDNS."""
-    edns = Edns(do=query.edns.do) if query.edns else None
+    edns = Edns.shared(do=query.edns.do) if query.edns else None
     return DnsMessage(id=query.id, flags=(query.flags & {"rd"}) | {"qr", *flags},
                       rcode=rcode, questions=list(query.questions), edns=edns)
 
@@ -172,13 +179,17 @@ def encode_message(msg: DnsMessage) -> bytes:
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _read_record(data: bytes, offset: int, size: int) -> tuple[ResourceRecord, int]:
+def _read_record(data: bytes, offset: int, size: int,
+                 opt_is_edns: bool = False) -> tuple[ResourceRecord | Edns, int]:
+    """The record at `offset`; with `opt_is_edns`, an OPT as the `Edns` it carries."""
     owner, offset = read_name(data, offset, size)
     rtype, rclass, ttl, rdlength = unpack_exact(_RR_HEAD, data, offset, size, "record header")
     offset += _RR_HEAD.size
     end = offset + rdlength
     if end > size:
         raise Truncated(f"rdata: need {rdlength} octets at offset {offset}")
+    if opt_is_edns and rtype == RType.OPT:
+        return Edns.shared((ttl >> 16) & 0xFF, bool(ttl & 0x8000), rclass), end
     rdata, stop = rdata_from_wire(rtype, data, offset, end)
     if stop != end:
         raise RdataError(f"{end - stop} octets left over in {rtype_to_text(rtype)} rdata")
@@ -201,12 +212,9 @@ def decode_message(data: bytes) -> DnsMessage:
     for count, section in ((ancount, msg.answers), (nscount, msg.authority),
                            (arcount, msg.additional)):
         for _ in range(count):
-            record, offset = _read_record(data, offset, size)
-            if record.rtype == RType.OPT and section is msg.additional:
-                if msg.edns is None:
-                    msg.edns = Edns(version=(record.ttl >> 16) & 0xFF,
-                                    do=bool(record.ttl & 0x8000),
-                                    udp_payload=record.rclass)
-                continue
-            section.append(record)
+            record, offset = _read_record(data, offset, size, section is msg.additional)
+            if type(record) is not Edns:
+                section.append(record)
+            elif msg.edns is None:
+                msg.edns = record
     return msg

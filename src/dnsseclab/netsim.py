@@ -15,10 +15,11 @@ That models the exact race a cache-poisoning attacker exploits.
 from __future__ import annotations
 
 import random
-import struct
+import sys
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import repeat
+from itertools import compress, repeat
 from math import ceil, log
 from operator import add
 from typing import Callable, Protocol
@@ -45,16 +46,16 @@ class QueryEvent:
 @dataclass(frozen=True)
 class GuessTable:
     """The forged replies a tap sends against one query, all claiming to come
-    from `claimed_src`: `positions` maps each guess, the integer
-    `GuessTable.key(destination port, transaction id)`, to its place in the
-    order they are sent, and `forge` builds the wire for one guessed id.
-    Only a guess that lands is built. `len()` is the number of forged packets."""
+    from `claimed_src`: the keys of `guesses` are the guesses in the order
+    they are sent, each the integer `GuessTable.key(destination port,
+    transaction id)`, and `forge` builds the wire for one guessed id. Only a
+    guess that lands is built. `len()` is the number of forged packets."""
     claimed_src: str = ""
-    positions: dict[int, int] = field(default_factory=dict)
+    guesses: dict[int, None] = field(default_factory=dict)
     forge: Callable[[int], bytes] | None = None
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.guesses)
 
     @staticmethod
     def key(port: int, txid: int) -> int:
@@ -62,33 +63,55 @@ class GuessTable:
         return (port - PORT_BASE) * TXID_SPACE + txid
 
 
-_WORD = struct.Struct("<I")
+#: Words per `getrandbits` call of a `GuessStream`: about 64 guesses at 65 536,
+#: one or two calls per 100-guess draw. With 512, a draw that refills costs more
+#: than drawing word by word; larger batches show as lookup latency spikes.
+BATCH_WORDS = 128
+#: A 1 in the lowest bit of each 32-bit lane of a batch.
+_LANE_ONES = sum(1 << (32 * i) for i in range(BATCH_WORDS))
 
 
-def draw_guesses(rng: random.Random, n: int, k: int) -> dict[int, int]:
-    """`rng.sample(range(n), k)` as a dict from each guess to its place in the
-    sample: the same guesses in the same order, with `rng` left in the same
-    state. CPython's `sample` draws each guess with `_randbelow(n)`, which
-    takes one 32-bit word per try and keeps `word >> (32 - n.bit_length())`
-    when that is below n, and then redraws a guess it already holds. Here the
-    words come from one `getrandbits` call per batch of exactly as many words
-    as guesses are missing: a word adds at most one guess, so no batch draws
-    past the k-th. Where `sample` takes its pool branch instead (k > 5 461
-    for n = 65 536), or n needs more than 32 bits, this is `sample` itself."""
-    shift = 32 - n.bit_length()
-    if shift < 0 or n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
-        return {guess: i for i, guess in enumerate(rng.sample(range(n), k))}
-    positions: dict[int, int] = {}
-    setdefault = positions.setdefault
-    need = k
-    while need:
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        for (word,) in _WORD.iter_unpack(words):
-            guess = word >> shift
-            if guess < n:
-                setdefault(guess, len(positions))
-        need = k - len(positions)
-    return positions
+class GuessStream:
+    """Successive `draw()`s give the guesses, in order, of successive
+    `rng.sample(range(n), k)` calls. `sample` takes one 32-bit word per try,
+    keeps `word >> (32 - n.bit_length())` when below n, and tries again for a
+    repeat. A batch shifts and masks all its words at once and drops those at
+    or above n, flagged by bit 31 of `lane + 2**31 - n` (no carry while n <=
+    2**31). The RNG runs ahead of `sample`'s, so the stream must be its only
+    consumer. Past 2**31, or in `sample`'s pool branch (k > 5 461 at 65 536),
+    each draw is `sample`."""
+
+    def __init__(self, rng: random.Random, n: int, k: int):
+        self.rng, self.n, self.k = rng, n, k
+        bits = n.bit_length()
+        self._by_sample = n > 1 << 31 or n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+        self._shift = 32 - bits
+        self._mask = ((1 << bits) - 1) * _LANE_ONES
+        self._offset = ((1 << 31) - n) * _LANE_ONES
+        self._pending: list[int] = []
+
+    def _refill(self) -> None:
+        """Append the values below n of the next batch of words, in order."""
+        lanes = (self.rng.getrandbits(32 * BATCH_WORDS) >> self._shift) & self._mask
+        kept = (((lanes + self._offset) >> 31) & _LANE_ONES) ^ _LANE_ONES
+        self._pending += compress(array("I", lanes.to_bytes(4 * BATCH_WORDS, sys.byteorder)),
+                                  kept.to_bytes(4 * BATCH_WORDS, "little")[::4])
+
+    def draw(self) -> dict[int, None]:
+        """The next k distinct guesses, as the keys of a dict in order."""
+        if self._by_sample:
+            return dict.fromkeys(self.rng.sample(range(self.n), self.k))
+        k, pending = self.k, self._pending
+        while len(pending) < k:
+            self._refill()
+        guesses, used = dict.fromkeys(pending[:k]), k
+        while len(guesses) < k:  # a repeat: `sample` draws again
+            if used == len(pending):
+                self._refill()
+            guesses[pending[used]] = None
+            used += 1
+        del pending[:used]
+        return guesses
 
 
 #: What a tap that injects nothing returns.
@@ -187,11 +210,10 @@ class SimTransport(Transport):
                                if tap.on_path else event) for tap in net.taps]
         key = GuessTable.key(src_port, txid)
         for table in tables:
-            position = (table.positions.get(key)
-                        if table.claimed_src == address else None)
-            if position is None:
+            if table.claimed_src != address or key not in table.guesses:
                 self._deliver(len(table))
                 continue
+            position = list(table.guesses).index(key)
             self._deliver(position + 1)
             forged = table.forge(txid)
             msg = reply_matches(forged, txid, question)

@@ -544,7 +544,7 @@ def rdata_from_text(rtype: int, tokens: list[str], origin: DnsName | None):
 # Records and RRsets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     owner: DnsName
     rtype: int

@@ -148,7 +148,7 @@ def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
         if not candidates:
             raise ServFail(f"no reachable server for {qname}")
         query = make_query(qname, qtype, id=transport.new_txid(),
-                           edns=Edns(do=True, udp_payload=udp_payload))
+                           edns=Edns.shared(do=True, udp_payload=udp_payload))
         for address in candidates:
             try:
                 msg, _ = transport.exchange(address, query)
@@ -223,7 +223,7 @@ class RecursiveResolver:
 
     def resolve_name(self, qname: DnsName, qtype: int = RType.A,
                      do: bool = False) -> DnsMessage:
-        edns = Edns(do=True) if do else None
+        edns = Edns.shared(do=True) if do else None
         return self.resolve(make_query(qname, qtype, id=self.transport.new_txid(),
                                        rd=True, edns=edns))
 
@@ -326,7 +326,7 @@ class RecursiveResolver:
 
         if msg.answers:
             for rrset in group_rrsets(r for r in msg.answers
-                                      if r.rtype != RType.RRSIG):
+                                      if r.rtype != RType.RRSIG and r.rclass == 1):
                 covering = rrsigs_covering(msg.answers, rrset.owner, rrset.rtype)
                 entry = CacheEntry(key=(rrset.owner, rrset.rtype, rrset.rclass),
                                    rrset=rrset, rrsigs=tuple(covering),
@@ -347,8 +347,8 @@ class RecursiveResolver:
 
     def _reply(self, query: DnsMessage, rcode: int, answers, authority,
                security: Security) -> DnsMessage:
-        """The reply to a client, fresh or cached alike: without the DO bit
-        it sees DNSSEC records only of the type it asked for, and AD marks
+        """The reply to a client, fresh or cached alike: only class IN; without
+        the DO bit, DNSSEC records only of the type it asked for; and AD marks
         data validated as Secure."""
         reply = make_reply(query, "ra", rcode=rcode)
         if security is Security.SECURE and self.config.dnssec_enabled:
@@ -356,8 +356,8 @@ class RecursiveResolver:
         do, qtype = query.do_bit, query.question.qtype
 
         def visible(records) -> list:
-            return [r for r in records
-                    if do or r.rtype == qtype or r.rtype not in _DNSSEC_TYPES]
+            return [r for r in records if r.rclass == 1
+                    and (do or r.rtype == qtype or r.rtype not in _DNSSEC_TYPES)]
 
         reply.answers = visible(answers)
         reply.authority = visible(authority)

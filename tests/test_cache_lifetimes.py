@@ -232,6 +232,25 @@ def test_other_class_copy_of_an_answer_record_is_neither_served_nor_cached(signe
     assert victim.cache.get((WWW, RType.A, 3), network.clock()) is None
 
 
+def test_plain_resolver_neither_serves_nor_caches_another_class(fixture_zone):
+    """Without validation nothing checks the answer's records, so the class
+    is checked where they are served and cached: a class-3 copy of a
+    `www.domaine.ma. A` record reaches neither the client nor the cache."""
+    def tamper(reply):
+        if (reply.question.name, reply.question.qtype) == (WWW, RType.A):
+            reply.answers.append(replace(reply.answers[0], rclass=3))
+
+    network, victim = _victim(fixture_zone, tamper)
+    reply = victim.resolve_name(WWW)
+    assert reply.rcode == Rcode.NOERROR
+    assert sorted(r.rdata.address for r in reply.answers) == sorted(
+        r.rdata.address for r in fixture_zone.records_at(WWW, RType.A))
+    assert {r.rclass for r in reply.answers} == {1}
+    assert victim.cache.get((WWW, RType.A, 3), network.clock()) is None
+    entry = victim.cache.get((WWW, RType.A, 1), network.clock())
+    assert entry is not None and len(entry.rrset.rdatas) == 2
+
+
 def test_other_class_copy_of_an_answer_rrsig_is_neither_served_nor_cached(signed_zone, ksk):
     """A class-3 copy of the RRSIG over the A RRset keeps its RDATA, so it
     would verify against the IN RRset; only class-IN RRSIGs cover it."""

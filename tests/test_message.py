@@ -5,11 +5,12 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnsseclab import message
 from dnsseclab.message import (DnsMessage, Edns, Question, Rcode, TooManyRecords,
                                decode_message, encode_message, make_query, make_reply)
 from dnsseclab.names import DnsName
 from dnsseclab.records import (RDATA_CLASSES, ARdata, NsRdata, OpaqueRdata, RdataError,
-                               ResourceRecord, RrsigRdata, RType, SoaRdata)
+                               ResourceRecord, RrsigRdata, RType, SoaRdata, rdata_from_wire)
 from dnsseclab.wire import MAX_POINTERS, BadPointer, LabelTooLong, Truncated, WireError
 
 from conftest import random_message, random_rdata
@@ -92,6 +93,59 @@ def test_self_pointer_rejected():
     wire = b"\x00\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00" + b"\xc0\x0c"
     with pytest.raises(BadPointer):
         decode_message(wire)
+
+
+def _opt(rclass, ttl, rdata=b"", rdlength=None) -> bytes:
+    """An OPT pseudo-record at the root, with raw RDATA (EDNS options)."""
+    rdlength = len(rdata) if rdlength is None else rdlength
+    return b"\x00" + struct.pack(">HHIH", RType.OPT, rclass, ttl, rdlength) + rdata
+
+
+def _message(answers=(), additional=()) -> bytes:
+    header = struct.pack(">HHHHHH", 7, 0, 0, len(answers), 0, len(additional))
+    return header + b"".join(answers) + b"".join(additional)
+
+
+def test_opt_in_the_additional_section_decodes_straight_into_edns(monkeypatch):
+    """The first OPT of the additional section becomes `msg.edns`, a later
+    one is dropped, and neither is kept as a record or passed through the
+    RDATA decoders: its RDATA holds only opaque options."""
+    calls = []
+    monkeypatch.setattr(message, "rdata_from_wire",
+                        lambda *args: calls.append(args) or rdata_from_wire(*args))
+    options = struct.pack(">HH", 10, 8) + bytes(8)  # a COOKIE option
+    msg = decode_message(_message(additional=[_opt(1232, 0x00018000, options),
+                                              _opt(512, 0)]))
+    assert msg.edns == Edns(version=1, do=True, udp_payload=1232)
+    assert msg.additional == [] and calls == []
+    shared = decode_message(encode_message(make_query(APEX, RType.A, edns=Edns(do=True))))
+    assert shared.edns is Edns.shared(do=True) and shared.edns == Edns(do=True)
+
+
+def test_opt_outside_the_additional_section_stays_a_record():
+    msg = decode_message(_message(answers=[_opt(4096, 0, b"\x01\x02")]))
+    assert msg.edns is None
+    assert msg.answers == [ResourceRecord(DnsName.from_text("."), RType.OPT, 4096, 0,
+                                          OpaqueRdata(b"\x01\x02"))]
+
+
+@pytest.mark.parametrize("opt", [_opt(4096, 0, b"\x00\x0a", rdlength=3), b"\x00\x00\x29"],
+                         ids=["rdata", "header"])
+def test_opt_past_the_end_of_the_message_is_truncated(opt):
+    with pytest.raises(Truncated):
+        decode_message(_message(additional=[opt]))
+
+
+def test_value_classes_keep_equality_hashing_and_replace_without_a_dict():
+    for value in (Edns(do=True), Question(APEX, RType.A),
+                  ResourceRecord(APEX, RType.A, 1, 60, ARdata("192.0.2.1"))):
+        assert not hasattr(value, "__dict__")
+        assert value == dataclasses.replace(value) and hash(value) == hash(
+            dataclasses.replace(value))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.__setattr__(dataclasses.fields(value)[0].name, None)
+    assert repr(Edns.shared(do=True)) == "Edns(version=0, do=True, udp_payload=4096)"
+    assert Edns.shared(1, False, 512) == Edns(1, False, 512)
 
 
 def test_truncated_inputs():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from dnsseclab.attack import AttackConfig, build_lab
 from dnsseclab.message import DnsMessage, Question, decode_message, encode_message, make_query
 from dnsseclab.names import DnsName
-from dnsseclab.netsim import (LATENCY, PORT_BASE, TXID_SPACE, GuessTable, PortPolicy,
-                              QueryEvent, SimNetwork, SimTransport, draw_guesses)
+from dnsseclab.netsim import (LATENCY, PORT_BASE, TXID_SPACE, GuessStream, GuessTable,
+                              PortPolicy, QueryEvent, SimNetwork, SimTransport)
 from dnsseclab.records import ARdata, ResourceRecord, RType
 from dnsseclab.transport import Timeout, reply_matches
 
@@ -54,8 +54,8 @@ class ScriptedTap:
     def on_query(self, event: QueryEvent) -> GuessTable:
         self.events.append(event)
         return GuessTable(self.claimed_src,
-                          {GuessTable.key(port, txid): i
-                           for i, (port, txid) in enumerate(self.guesses)}, self.forge)
+                          dict.fromkeys(GuessTable.key(port, txid)
+                                        for port, txid in self.guesses), self.forge)
 
 
 def linear_query(transport: SimTransport, address: str, query: DnsMessage) -> bytes:
@@ -78,7 +78,7 @@ def linear_query(transport: SimTransport, address: str, query: DnsMessage) -> by
         else:
             event = QueryEvent(address, question.name, question.qtype, transport.address)
         table = tap.on_query(event)
-        for key, _ in sorted(table.positions.items(), key=lambda item: item[1]):
+        for key in table.guesses:
             port, guess = divmod(key, TXID_SPACE)
             packets.append((table.claimed_src, PORT_BASE + port, table.forge(guess), True))
     reply = handler(wire, False) if handler else None
@@ -197,34 +197,92 @@ def test_plain_lookup_builds_no_name_through_the_checks(signed_zone, monkeypatch
     assert len(calls) <= 1
 
 
-def _sampled(rng, n, k):
-    return list(enumerate(rng.sample(range(n), k)))
-
-
-def _drawn(rng, n, k):
-    return [(i, guess) for guess, i in draw_guesses(rng, n, k).items()]
+def _agree(seed, n, k, draws):
+    """`draws` successive draws of a stream against successive `sample` calls
+    on a twin RNG."""
+    stream, twin = GuessStream(random.Random(seed), n, k), random.Random(seed)
+    for _ in range(draws):
+        assert list(stream.draw()) == twin.sample(range(n), k)
 
 
 @pytest.mark.parametrize("n", [TXID_SPACE, TXID_SPACE * 4096], ids=["fixed", "random"])
 @pytest.mark.parametrize("k, seeds", [(0, 3), (1, 20), (100, 40), (5461, 3), (5462, 3)])
 def test_draw_guesses_is_random_sample(n, k, seeds):
-    """The same guesses in the same order, and the same RNG state after, as
-    `random.Random.sample`, for the guess spaces of both port modes, on each
-    side of the 5 461 guesses where `sample` switches branch at 65 536.
-    Two draws in a row check that the state carries over."""
+    """Successive draws of the stream give the guesses, in order, of
+    successive `random.Random.sample` calls, for the guess spaces of both
+    port modes, on each side of the 5 461 guesses where `sample` switches
+    branch at 65 536. Each case makes 200 draws across its seeds, so the
+    leftovers of many batches carry over from one draw to the next."""
     for seed in range(seeds):
-        by_helper, by_sample = random.Random(seed), random.Random(seed)
-        for _ in range(2):
-            assert _drawn(by_helper, n, k) == _sampled(by_sample, n, k)
-            assert by_helper.getstate() == by_sample.getstate()
+        _agree(seed, n, k, -(-200 // seeds))
+
+
+@pytest.mark.parametrize("n", [2 ** 31, 2 ** 31 + 1])
+def test_draw_guesses_is_random_sample_at_the_widest_lane(n):
+    """At 2**31 every bit of a word is kept and `2**31 - n` is 0; one more
+    and the draws are `sample`'s own."""
+    _agree(7, n, 100, 200)
+
+
+class ScriptedWords(random.Random):
+    """Gives `words` first, then seeded ones, one 32-bit word per 32 bits
+    asked for, lowest first, as CPython's `getrandbits` does."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        count = max(1, k // 32)
+        words = [self.words.pop(0) if self.words else random.Random.getrandbits(self, 32)
+                 for _ in range(count)]
+        return sum(word << (32 * i) for i, word in enumerate(words)) >> (32 * count - k)
+
+
+@pytest.mark.parametrize("n", [2 ** 31, 2 ** 31 + 1])
+def test_draw_guesses_is_random_sample_next_to_zero_and_full_words(n):
+    """Words of 0 and of all ones, and words on each side of n, where a
+    carry or borrow between lanes would show."""
+    script = [0, 5, 0, 2 ** 32 - 1, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 0, 0, 7] * 20
+    stream, twin = GuessStream(ScriptedWords(script), n, 5), ScriptedWords(script)
+    for _ in range(50):
+        assert list(stream.draw()) == twin.sample(range(n), 5)
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 2 ** 34), k=st.integers(0, 300))
-def test_draw_guesses_is_random_sample_for_any_space(seed, n, k):
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 2 ** 34), k=st.integers(0, 300),
+       draws=st.integers(1, 4))
+def test_draw_guesses_is_random_sample_for_any_space(seed, n, k, draws):
     """Also where `sample` takes its pool branch (small n) and where n needs
-    more than 32 bits: there the helper is `sample` itself."""
-    k = min(k, n)
-    by_helper, by_sample = random.Random(seed), random.Random(seed)
-    assert _drawn(by_helper, n, k) == _sampled(by_sample, n, k)
-    assert by_helper.getstate() == by_sample.getstate()
+    more than 32 bits: there each draw is `sample` itself."""
+    _agree(seed, n, min(k, n), draws)
+
+
+def test_a_repeated_guess_is_drawn_again_from_the_next_word():
+    """Seed 14's first 100 accepted values at 65 536 hold a repeat, so the
+    draw goes past them as `sample` does, and the next draw starts after."""
+    rng = random.Random(14)
+    words = (rng.getrandbits(32) >> 15 for _ in range(400))
+    accepted = [guess for guess in words if guess < TXID_SPACE]
+    assert len(set(accepted[:100])) < 100
+    _agree(14, TXID_SPACE, 100, 3)
+
+
+class CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_a_draw_of_100_at_65536_takes_at_most_two_getrandbits_calls():
+    """`sample` takes one `getrandbits` call per word, about 200 for 100
+    guesses at 65 536; the stream takes one call per batch of words, one or
+    two per draw. Counted, not timed."""
+    rng, twin = CountingRandom(11), CountingRandom(11)
+    stream = GuessStream(rng, TXID_SPACE, 100)
+    for _ in range(1000):
+        assert list(stream.draw()) == twin.sample(range(TXID_SPACE), 100)
+    assert twin.calls > 150_000
+    assert rng.calls <= 2000
