@@ -217,13 +217,6 @@ def test_draw_guesses_is_random_sample(n, k, seeds):
         _agree(seed, n, k, -(-200 // seeds))
 
 
-@pytest.mark.parametrize("n", [2 ** 31, 2 ** 31 + 1])
-def test_draw_guesses_is_random_sample_at_the_widest_lane(n):
-    """At 2**31 every bit of a word is kept and `2**31 - n` is 0; one more
-    and the draws are `sample`'s own."""
-    _agree(7, n, 100, 200)
-
-
 class ScriptedWords(random.Random):
     """Gives `words` first, then seeded ones, one 32-bit word per 32 bits
     asked for, lowest first, as CPython's `getrandbits` does."""
@@ -240,13 +233,14 @@ class ScriptedWords(random.Random):
 
 
 @pytest.mark.parametrize("n", [2 ** 31, 2 ** 31 + 1])
-def test_draw_guesses_is_random_sample_next_to_zero_and_full_words(n):
-    """Words of 0 and of all ones, and words on each side of n, where a
-    carry or borrow between lanes would show."""
+def test_draw_guesses_is_random_sample_at_the_widest_lane(n):
+    """At 2**31 every bit of a word is kept and `2**31 - n` is 0; one more
+    and the draws are `sample`'s own. The words start with 0, all ones and
+    each side of n, where a carry or borrow between lanes would show."""
     script = [0, 5, 0, 2 ** 32 - 1, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 0, 0, 7] * 20
-    stream, twin = GuessStream(ScriptedWords(script), n, 5), ScriptedWords(script)
-    for _ in range(50):
-        assert list(stream.draw()) == twin.sample(range(n), 5)
+    stream, twin = GuessStream(ScriptedWords(script), n, 100), ScriptedWords(script)
+    for _ in range(200):
+        assert list(stream.draw()) == twin.sample(range(n), 100)
 
 
 @settings(max_examples=200, deadline=None)
