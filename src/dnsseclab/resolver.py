@@ -5,12 +5,20 @@ Of a Secure reply, only the answer RRset the walk verified, or the NSEC
 witnesses and SOA of its denial, reach the client with AD or the cache as
 Secure, and of the replies the walk fetched, only the DNSKEY or DS RRset it
 verified. Those keys are cached by the same lifetime rule as answers and
-served to later walks, so a warm validating lookup sends only its query."""
+served to later walks, so a warm validating lookup sends only its query.
+
+The NSEC witnesses of a Secure negative answer, with its SOA, are also kept
+in a bounded index of the cache, per zone and in canonical order; a later
+lookup of a name inside such a gap is answered NXDOMAIN or NODATA with AD
+and sends nothing (RFC 8198 §5). Like `validator.check_denial`, this does
+not check that a wildcard at the closest encloser is denied (RFC 4035
+§5.4): wildcards are out of scope."""
 
 from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -18,7 +26,7 @@ from typing import Callable
 from .config import RootHints
 from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
-from .records import RRset, RType, group_rrsets, rrsigs_covering
+from .records import RRset, RType, group_rrsets, nsec_gap_covers, rrsigs_covering
 from .transport import Timeout, Transport, TransportError
 from .validator import (FetchFailure, Security, SignatureMemo, answer_rrset,
                         proven_authority, validate_chain)
@@ -29,6 +37,8 @@ MAX_CACHE_TTL = 7 * 86400
 HOP_LIMIT = 16
 #: Types a client without the DO bit sees only when it asked for them.
 _DNSSEC_TYPES = (RType.RRSIG, RType.NSEC, RType.DNSKEY)
+#: RFC 6672; no gap is synthesized at or below a DNAME owner.
+_DNAME = 39
 
 
 class ResolutionError(Exception):
@@ -70,11 +80,15 @@ _RANK = {Security.INSECURE: 0, Security.SECURE: 1}
 class Cache:
     """TTL cache with LRU eviction. An entry may only replace one of equal or
     lower security rank; Bogus data is never given to `put` at all.
-    Get/put are atomic (the server handles requests concurrently)."""
+    Get/put are atomic (the server handles requests concurrently). Validated
+    NSEC gaps are indexed beside the entries, per zone by canonical key, by
+    the same capacity and LRU rule."""
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
+        self._gaps: OrderedDict[tuple, CacheEntry] = OrderedDict()  # (zone, owner key)
+        self._gap_owners: dict[DnsName, list[tuple]] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -107,9 +121,47 @@ class Cache:
                 self._entries.popitem(last=False)
             return True
 
+    def put_gap(self, zone: DnsName, entry: CacheEntry, now: float) -> None:
+        """Index the NSEC gap whose RRset is `entry.rrset` under `zone`."""
+        if entry.expires_at <= now:
+            return
+        key = (zone, entry.rrset.owner.canonical_key())
+        with self._lock:
+            if key not in self._gaps:
+                insort(self._gap_owners.setdefault(zone, []), key[1])
+            self._gaps[key] = entry
+            self._gaps.move_to_end(key)
+            while len(self._gaps) > self.capacity:
+                (oldest, owner), _ = self._gaps.popitem(last=False)
+                owners = self._gap_owners[oldest]
+                del owners[bisect_left(owners, owner)]
+                if not owners:
+                    del self._gap_owners[oldest]
+
+    def gap(self, qname: DnsName, now: float) -> CacheEntry | None:
+        """The live gap of the deepest indexed zone at or above `qname` whose
+        owner sorts last at or before it: the only one that can cover it."""
+        with self._lock:
+            zone = qname
+            while zone not in self._gap_owners:
+                if not zone.labels:
+                    return None
+                zone = zone.parent()
+            owners = self._gap_owners[zone]
+            i = bisect_right(owners, qname.canonical_key())
+            if not i:
+                return None
+            key = (zone, owners[i - 1])
+            if self._gaps[key].expired(now):
+                return None
+            self._gaps.move_to_end(key)
+            return self._gaps[key]
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._gaps.clear()
+            self._gap_owners.clear()
 
     def entries(self) -> list[CacheEntry]:
         with self._lock:
@@ -208,6 +260,8 @@ class RecursiveResolver:
             return make_reply(query, "ra", rcode=Rcode.FORMERR)
         now = self.clock()
         entry = self.cache.get((q.name, q.qtype, q.qclass), now)
+        if entry is None and self.config.dnssec_enabled and q.qclass == 1:
+            entry = self._synthesized(q.name, q.qtype, now)
         if entry is None:
             try:
                 msg, security = self._resolve_upstream(q.name, q.qtype, now)
@@ -228,6 +282,33 @@ class RecursiveResolver:
                                        rd=True, edns=edns))
 
     # -- internals ---------------------------------------------------------
+
+    def _synthesized(self, qname: DnsName, qtype: int, now: float) -> CacheEntry | None:
+        """A negative entry from a validated NSEC gap (RFC 8198 §5), by the
+        rcode rule of `validator._fits_rcode`: NXDOMAIN when the gap covers
+        the qname, NODATA when the qname owns the NSEC and neither the qtype
+        nor CNAME is in its bitmap, or when the gap's next name lies below
+        the qname (an empty non-terminal). None at or below a delegation or
+        DNAME, and for DS at an NSEC owner: those go upstream."""
+        gap = self.cache.gap(qname, now)
+        if gap is None:
+            return None
+        owner, nsec = gap.rrset.owner, gap.rrset.rdatas[0]
+        types = nsec.type_bitmap
+        if qname.is_subdomain_of(owner) and (
+                _DNAME in types or (RType.NS in types and RType.SOA not in types)):
+            return None
+        if owner == qname:
+            if qtype in types or qtype == RType.DS or RType.CNAME in types:
+                return None
+            rcode = Rcode.NOERROR
+        elif nsec_gap_covers(owner.canonical_key(), nsec.next_name.canonical_key(),
+                             qname.canonical_key()):
+            rcode = Rcode.NOERROR if nsec.next_name.is_subdomain_of(qname) else Rcode.NXDOMAIN
+        else:
+            return None
+        return replace(gap, key=(qname, qtype, 1),
+                       negative=replace(gap.negative, rcode=rcode))
 
     def _starting_servers(self, qname: DnsName, now: float) -> list[str]:
         """Start iteration at the deepest cached delegation for the name;
@@ -341,9 +422,21 @@ class RecursiveResolver:
         ttl = min(soa.ttl, soa.rdata.minimum, MAX_NEGATIVE_TTL) if soa else 60
         skeleton = DnsMessage(rcode=msg.rcode, authority=list(msg.authority))
         rrsigs = [r for r in msg.authority if r.rtype == RType.RRSIG]
-        self.cache.put(CacheEntry(key=(qname, qtype, 1), rrset=None,
-                                  inserted_at=now, expires_at=expiry(ttl, rrsigs),
-                                  security=security, negative=skeleton), now)
+        entry = CacheEntry(key=(qname, qtype, 1), rrset=None, inserted_at=now,
+                           expires_at=expiry(ttl, rrsigs), security=security,
+                           negative=skeleton)
+        self.cache.put(entry, now)
+        if security is not Security.SECURE or soa is None:
+            return
+        # Each NSEC the walk verified indexes its gap with the SOA, no longer
+        # than the negative entry nor its own TTL (RFC 8198 §4, RFC 9077 §3).
+        for nsec in (r for r in msg.authority if r.rtype == RType.NSEC):
+            proof = proven_authority(replace(msg, authority=[
+                r for r in msg.authority if r.rtype != RType.NSEC or r == nsec]))
+            self.cache.put_gap(soa.owner, replace(
+                entry, key=(nsec.owner, RType.NSEC, 1), rrset=RRset.from_records([nsec]),
+                expires_at=min(entry.expires_at, now + nsec.ttl),
+                negative=DnsMessage(authority=proof)), now)
 
     def _reply(self, query: DnsMessage, rcode: int, answers, authority,
                security: Security) -> DnsMessage:

@@ -25,7 +25,12 @@ answers it from the RRsets that earlier Secure walks verified, and its
 signature memo passes those checks without public-key work. Of a positive
 response, the walk verifies one RRset, the one `answer_rrset` names; of a
 negative one, the NSEC witnesses and the SOA, which `proven_authority`
-names."""
+names.
+
+Wildcards are out of scope: an NXDOMAIN proof here shows only the NSEC
+that covers the qname, and `check_denial` does not check that a wildcard at
+the closest encloser is denied too (RFC 4035 §5.4). The resolver's answers
+from validated NSEC gaps (RFC 8198) share that restriction."""
 
 from __future__ import annotations
 

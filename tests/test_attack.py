@@ -184,15 +184,34 @@ def test_kaminsky_blocked_by_validation(signed_zone, ksk):
 
 def test_warm_validating_lookup_is_one_transaction(signed_zone, ksk):
     """The first validating lookup fetches the anchor's DNSKEY; later ones
-    take it from the cache and send only their query."""
+    take it from the cache and send only their query. A name inside the
+    validated NSEC gap the first one learned sends nothing at all; a
+    positive answer still goes upstream."""
     cfg = kaminsky_cfg(trials=1, validation=True)
     lab = build_lab(cfg, signed_zone.zone, (TrustAnchor(APEX, ksk.public),))
-    for sent, name in ((2, "r0-0.domaine.ma."), (1, "r0-1.domaine.ma."),
+    for sent, name in ((2, "r0-0.domaine.ma."), (0, "r0-1.domaine.ma."),
                        (1, "www.domaine.ma.")):
         before = lab.network.transactions
         reply = lab.victim.resolve_name(DnsName.from_text(name), RType.A)
         assert "ad" in reply.flags
         assert lab.network.transactions - before == sent
+
+
+@pytest.mark.parametrize("validation, successes, transactions", [
+    (True, 0, 2), (False, 1, 16)], ids=["validating", "plain"])
+def test_trial_traffic_is_exact(signed_zone, ksk, validation, successes, transactions):
+    """Seed 15, one trial of 50 rounds. The validating victim sends the
+    DNSKEY fetch and round 0, which is not forged; the NSEC gap round 0
+    proves answers the other 49 rounds without a query. The plain victim
+    sends one query per round until round 14 is poisoned, and one more to
+    the attacker's server that the forged referral names."""
+    cfg = kaminsky_cfg(trials=1, seed=15, validation=validation)
+    anchors = (TrustAnchor(APEX, ksk.public),) if validation else ()
+    lab = build_lab(cfg, signed_zone.zone, anchors)
+    report = run_attack(cfg, lab.victim, lab.network, lab.attacker)
+    assert report.successes == successes
+    assert report.forged_matcher_hits == successes
+    assert lab.network.transactions == transactions
 
 
 def test_fixed_port_guesses_past_the_id_space_poison_round_one(signed_zone):
@@ -209,17 +228,20 @@ def test_fixed_port_guesses_past_the_id_space_poison_round_one(signed_zone):
 
 
 def test_oracle_sees_a_forgery_that_validation_let_through(signed_zone, ksk, monkeypatch):
-    """With a validator that calls everything Secure, the forged referral
-    that lands in this lab (seed 1002) leads to the attacker's address with
-    AD. A validating victim caches no referral, so only the reply and the
-    cache entry for the round's name can show it."""
+    """With a validator that calls everything Secure, a forged referral
+    leads to the attacker's address with AD. The attacker guesses every id,
+    so the forgery lands in each trial's first round, before the victim has
+    learned an NSEC gap that would answer later rounds without a query. A
+    validating victim caches no referral, so only the reply and the cache
+    entry for the round's name can show it."""
     monkeypatch.setattr(resolver, "validate_chain",
                         lambda *args: ValidationOutcome(Security.SECURE))
-    cfg = kaminsky_cfg(trials=2, seed=1002, validation=True)
+    cfg = kaminsky_cfg(forged_per_query=70_000, query_rounds=5, trials=2,
+                       validation=True)
     lab = build_lab(cfg, signed_zone.zone, (TrustAnchor(APEX, ksk.public),))
     report = run_attack(cfg, lab.victim, lab.network, lab.attacker)
-    assert report.forged_matcher_hits == 1
-    assert report.successes == report.forged_accepted_post_validation == 1
+    assert report.forged_matcher_hits == cfg.trials
+    assert report.successes == report.forged_accepted_post_validation == cfg.trials
     assert not cache_poisoned(lab.victim, lab.attacker, cfg, lab.network.clock())
 
 
