@@ -1,14 +1,14 @@
 """Caching recursive resolver: full iterative resolution with referral
 following, TTL cache with security ranking, and chain-of-trust validation.
 
-Of a Secure reply, only the answer RRset the walk verified, or the NSEC
-witnesses and SOA of its denial, reach the client with AD or the cache as
-Secure, and of the replies the walk fetched, only the DNSKEY or DS RRset it
-verified. Those keys are cached by the same lifetime rule as answers and
-served to later walks, so a warm validating lookup sends only its query.
+Of a Secure reply, only what the walk verified reaches the client with AD
+or the cache as Secure: the `ValidationOutcome`'s `answer` or `authority`,
+and of its `links`, each DNSKEY or DS RRset the walk fetched upstream. Those
+keys are cached by the same lifetime rule as answers and served to later
+walks, so a warm validating lookup sends only its query.
 
-The NSEC witnesses of a Secure negative answer, with its SOA, are also kept
-in a bounded index of the cache, per zone and in canonical order; a later
+Each NSEC of the outcome's `witnesses`, with its RRSIGs and the SOA, is also
+kept in a bounded index of the cache, per zone and in canonical order; a later
 lookup of a name inside such a gap is answered NXDOMAIN or NODATA with AD
 and sends nothing (RFC 8198 §5). Like `validator.check_denial`, this does
 not check that a wildcard at the closest encloser is denied (RFC 4035
@@ -28,8 +28,7 @@ from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
 from .records import RRset, RType, group_rrsets, nsec_gap_covers, rrsigs_covering
 from .transport import Timeout, Transport, TransportError
-from .validator import (FetchFailure, Security, SignatureMemo, answer_rrset,
-                        proven_authority, validate_chain)
+from .validator import FetchFailure, Security, SignatureMemo, validate_chain
 
 MAX_NEGATIVE_TTL = 3600
 #: The longest any entry is cached, whatever its TTL (RFC 8767 §4: 7 days).
@@ -217,12 +216,6 @@ def resolve_iterative(qname: DnsName, qtype: int, servers: list[str],
     raise HopLimitExceeded(f"{qname} not resolved within the hop limit")
 
 
-def _only(msg: DnsMessage, owner: DnsName, rtype: int) -> DnsMessage:
-    """`msg` with only the (owner, rtype) RRset and its RRSIGs as answers."""
-    return replace(msg, answers=[*msg.records_of(owner, rtype),
-                                 *rrsigs_covering(msg.answers, owner, rtype)])
-
-
 # ---------------------------------------------------------------------------
 # Recursive resolver
 # ---------------------------------------------------------------------------
@@ -332,9 +325,9 @@ class RecursiveResolver:
         msg = resolve_iterative(
             qname, qtype, self._starting_servers(qname, now), self.transport,
             on_response=referrals.append)
-        security = Security.INSECURE
+        security, witnesses = Security.INSECURE, ()
         if self.config.dnssec_enabled:
-            fetched: list[tuple[DnsName, int, DnsMessage]] = []
+            fetched: dict[tuple[DnsName, int], DnsMessage] = {}
             outcome = validate_chain(msg, qname, qtype,
                                      list(self.config.anchors),
                                      self._validation_fetch(now, fetched), int(now),
@@ -343,31 +336,30 @@ class RecursiveResolver:
                 raise ServFail(f"validation failed: {outcome.reason}")
             security = outcome.status
             if security is Security.SECURE:
-                # Only what the walk verified is Secure (RFC 4035 §3.2.3): each
-                # fetched DNSKEY or DS RRset, and the answer RRset alone or
-                # the denial's NSEC witnesses and SOA.
-                for name, rtype, reply in fetched:
-                    if reply.records_of(name, rtype):
-                        self._cache_response(name, rtype, _only(reply, name, rtype),
-                                             security, now)
-                answer = answer_rrset(msg, qname, qtype)
-                msg = (replace(_only(msg, answer.owner, answer.rtype), authority=[])
-                       if answer is not None
-                       else replace(msg, answers=[], authority=proven_authority(msg)))
+                # Only what the walk verified is Secure (RFC 4035 §3.2.3). Of its
+                # links, only those fetched upstream are stored: storing one that
+                # came from the cache again would extend its life.
+                for name, rtype, records in outcome.links:
+                    if (name, rtype) in fetched:
+                        self._cache_response(name, rtype, replace(
+                            fetched[name, rtype], answers=list(records)), security, now)
+                msg = replace(msg, answers=list(outcome.answer),
+                              authority=list(outcome.authority))
+                witnesses = outcome.witnesses
         else:
             # Referral infrastructure is only trusted (and cached) when no
             # validation is in force; a validating resolver keeps only data
             # it has checked.
             for referral in referrals[:-1]:
                 self._cache_referral(referral, now)
-        self._cache_response(qname, qtype, msg, security, now)
+        self._cache_response(qname, qtype, msg, security, now, witnesses)
         return msg, security
 
-    def _validation_fetch(self, now: float, fetched: list):
+    def _validation_fetch(self, now: float, fetched: dict):
         """The walk's fetch: a DNSKEY or DS RRset that an earlier walk
         verified comes from the cache as Secure, the walk checks it again
         against the anchor or DS (the signature memo makes that cheap), and
-        anything else is resolved from the hints and logged in `fetched`."""
+        anything else is resolved from the hints and kept in `fetched`."""
 
         def fetch(name: DnsName, rtype: int) -> DnsMessage:
             entry = self.cache.get((name, rtype, 1), now)
@@ -375,7 +367,7 @@ class RecursiveResolver:
                     and entry.rrset is not None:
                 return DnsMessage(answers=[*entry.rrset.records(), *entry.rrsigs])
             reply = resolve_iterative(name, rtype, self.hint_addresses, self.transport)
-            fetched.append((name, rtype, reply))
+            fetched[name, rtype] = reply
             return reply
 
         return fetch
@@ -390,12 +382,12 @@ class RecursiveResolver:
                 security=Security.INSECURE), now)
 
     def _cache_response(self, qname: DnsName, qtype: int, msg: DnsMessage,
-                        security: Security, now: float) -> None:
-        """Cache an answer's RRsets, or a negative answer under the query key.
-        An entry lives at most `MAX_CACHE_TTL`, a negative one at most its
-        SOA's TTL and MINIMUM and `MAX_NEGATIVE_TTL` (RFC 2308 §5), and a
-        Secure one no longer than any RRSIG that covers it allows: its
-        original TTL, and its expiration (RFC 4035 §5.3.3)."""
+                        security: Security, now: float, witnesses: tuple = ()) -> None:
+        """Cache an answer's RRsets, or a negative answer under the query key
+        and the gaps of its verified `witnesses`. An entry lives at most
+        `MAX_CACHE_TTL`, a negative one at most its SOA's TTL and MINIMUM and
+        `MAX_NEGATIVE_TTL` (RFC 2308 §5), and a Secure one no longer than any
+        RRSIG over it allows: its original TTL and expiration (RFC 4035 §5.3.3)."""
         if msg.rcode not in (Rcode.NOERROR, Rcode.NXDOMAIN):
             return
 
@@ -428,11 +420,13 @@ class RecursiveResolver:
         self.cache.put(entry, now)
         if security is not Security.SECURE or soa is None:
             return
-        # Each NSEC the walk verified indexes its gap with the SOA, no longer
-        # than the negative entry nor its own TTL (RFC 8198 §4, RFC 9077 §3).
-        for nsec in (r for r in msg.authority if r.rtype == RType.NSEC):
-            proof = proven_authority(replace(msg, authority=[
-                r for r in msg.authority if r.rtype != RType.NSEC or r == nsec]))
+        # Each NSEC the walk verified indexes its gap with its RRSIGs and the
+        # SOA, no longer than the negative entry nor its TTL (RFC 8198 §4,
+        # RFC 9077 §3).
+        paired = {record for witness in witnesses for record in witness}
+        for nsec, _ in witnesses:
+            proof = [r for r in msg.authority
+                     if r == nsec or (nsec, r) in witnesses or r not in paired]
             self.cache.put_gap(soa.owner, replace(
                 entry, key=(nsec.owner, RType.NSEC, 1), rrset=RRset.from_records([nsec]),
                 expires_at=min(entry.expires_at, now + nsec.ttl),

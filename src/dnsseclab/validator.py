@@ -4,8 +4,9 @@ proofs.
 `validate_chain` walks the links from a trust anchor down to the answer:
 anchor DNSKEY, then DS and child DNSKEY per delegation, then the answer.
 Every link goes through one verification step, `_verified`, which returns
-the key that validated the RRset or raises `_Bogus(reason)`; one handler in
-`validate_chain` turns that into the Bogus outcome with the chain so far.
+the key that validated the RRset with its records and RRSIGs, or raises
+`_Bogus(reason)`; one handler in `validate_chain` turns that into the Bogus
+outcome with the chain so far.
 Signatures are checked only in `verify_rrsig`, and the validator calls it
 only through `verify_with_any`.
 
@@ -22,10 +23,12 @@ below the qname); and the SOA it carries must verify like any other RRset.
 The walk gets each DNSKEY and DS RRset through its `fetch` callback, and
 checks it against the anchor or DS however it came: a `RecursiveResolver`
 answers it from the RRsets that earlier Secure walks verified, and its
-signature memo passes those checks without public-key work. Of a positive
-response, the walk verifies one RRset, the one `answer_rrset` names; of a
-negative one, the NSEC witnesses and the SOA, which `proven_authority`
-names.
+signature memo passes those checks without public-key work. A Secure
+`ValidationOutcome` carries the records the walk verified, each found once:
+the `answer` RRset, or an alias in its place; or of a denial, the NSEC
+`witnesses` paired with their RRSIGs, and the `authority` they and the SOA
+RRset make; and `links`, each DNSKEY and DS RRset of the walk. Each comes
+as the response gave it, RRSIGs after the records they cover.
 
 Wildcards are out of scope: an NXDOMAIN proof here shows only the NSEC
 that covers the qname, and `check_denial` does not check that a wildcard at
@@ -110,13 +113,25 @@ class Denial(Enum):
 
 @dataclass(frozen=True)
 class ValidationOutcome:
+    """`chain` holds the (zone, key tag) links that held; only a Secure outcome
+    carries verified records, `links` as (owner, type, records) in walk order."""
     status: Security
     reason: Reason | None = None
     chain: tuple = ()
+    answer: tuple = ()
+    authority: tuple = ()
+    witnesses: tuple = ()
+    links: tuple = ()
 
     def __post_init__(self):
         if self.status is Security.BOGUS and self.reason is None:
             raise ValueError("Bogus outcomes need a reason")
+        if self.status is not Security.SECURE:
+            if self.answer or self.authority or self.witnesses or self.links:
+                raise ValueError(f"{self.status.value} outcomes carry no verified records")
+        elif bool(self.answer) == bool(self.witnesses) \
+                or bool(self.authority) != bool(self.witnesses):
+            raise ValueError("Secure outcomes carry an answer or a denial")
 
 
 @dataclass(frozen=True)
@@ -291,38 +306,6 @@ _SIG_REASONS = {SigCheck.WRONG_KEY: Reason.MISSING_DNSKEY,
 _PROVEN = (Denial.NAME_DOES_NOT_EXIST, Denial.TYPE_DOES_NOT_EXIST)
 
 
-def _rrset_from(msg: DnsMessage, owner: DnsName, rtype: int) -> RRset | None:
-    records = msg.records_of(owner, rtype)
-    return RRset.from_records(records) if records else None
-
-
-def answer_rrset(response: DnsMessage, qname: DnsName, qtype: int) -> RRset | None:
-    """The one answer RRset the walk verifies: the asked type at the qname,
-    or an alias in its place."""
-    return (_rrset_from(response, qname, qtype)
-            or _rrset_from(response, qname, RType.CNAME))
-
-
-def _soa_records(response: DnsMessage) -> list[ResourceRecord]:
-    """The SOA RRset a negative answer carries: the SOA records in the
-    authority section with the owner and class of the first one."""
-    first = next((r for r in response.authority if r.rtype == RType.SOA), None)
-    return [r for r in response.authority if r.rtype == RType.SOA
-            and (r.owner, r.rclass) == (first.owner, first.rclass)] if first else []
-
-
-def proven_authority(response: DnsMessage) -> list[ResourceRecord]:
-    """The authority records the walk verified for a negative answer, in
-    their order: the NSEC witnesses, the SOA RRset, and the RRSIGs over
-    them. A Secure negative answer is served and cached with these alone."""
-    proven = {record for witness in nsec_witnesses(response) for record in witness}
-    soa = _soa_records(response)
-    if soa:
-        proven.update(soa)
-        proven.update(rrsigs_covering(response.authority, soa[0].owner, RType.SOA))
-    return [r for r in response.authority if r in proven]
-
-
 def _closest_anchor(qname: DnsName, anchors: list[TrustAnchor]) -> TrustAnchor | None:
     best = None
     for anchor in anchors:
@@ -339,29 +322,34 @@ def nsec_witnesses(msg: DnsMessage) -> list[tuple[ResourceRecord, ResourceRecord
             for sig in rrsigs_covering(msg.authority, record.owner, RType.NSEC)]
 
 
-def _verified(rrset: RRset, section: list, keys: tuple[DnskeyRdata, ...],
-              now: int, memo: SignatureMemo) -> DnskeyRdata:
+def _verified(records: list[ResourceRecord], rrset: RRset, section: list,
+              keys: Sequence[DnskeyRdata], now: int,
+              memo: SignatureMemo) -> tuple[DnskeyRdata, tuple]:
     """The one verification step of the walk: the key under which an RRSIG
-    among the `section` records validates `rrset`; else raises `_Bogus`."""
-    sigs = [r.rdata for r in rrsigs_covering(section, rrset.owner, rrset.rtype)]
-    result, key = verify_with_any(rrset, sigs, keys, now, memo)
+    among the `section` records validates `rrset`, made of `records`, and
+    those records followed by the RRSIGs over them; else raises `_Bogus`."""
+    covering = rrsigs_covering(section, rrset.owner, rrset.rtype)
+    result, key = verify_with_any(rrset, [r.rdata for r in covering], keys, now, memo)
     if result is not SigCheck.VALID:
         raise _Bogus(_SIG_REASONS[result])
-    return key
+    return key, (*records, *covering)
 
 
 def _zone_keys(zone: DnsName, msg: DnsMessage, trusted: Callable[[DnskeyRdata], bool],
-               mismatch: Reason, chain: list, now: int,
+               mismatch: Reason, chain: list, links: list, now: int,
                memo: SignatureMemo) -> tuple[DnskeyRdata, ...]:
     """A zone's DNSKEY set, once a trusted key in it has signed it; the link
-    (zone, tag of that key) joins `chain`."""
-    rrset = _rrset_from(msg, zone, RType.DNSKEY)
-    if rrset is None:
+    (zone, tag of that key) joins `chain`, and the RRset joins `links`."""
+    records = msg.records_of(zone, RType.DNSKEY)
+    if not records:
         raise _Bogus(Reason.MISSING_DNSKEY)
+    rrset = RRset.from_records(records)
     entry_keys = [key for key in rrset.rdatas if trusted(key)]
     if not entry_keys:
         raise _Bogus(mismatch)
-    chain.append((zone, _verified(rrset, msg.answers, entry_keys, now, memo).key_tag()))
+    key, link = _verified(records, rrset, msg.answers, entry_keys, now, memo)
+    chain.append((zone, key.key_tag()))
+    links.append((zone, RType.DNSKEY, link))
     return rrset.rdatas
 
 
@@ -375,8 +363,10 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
 
     Secure needs every link to hold; Insecure means no anchor applies or a
     parent validly proves an unsigned delegation; anything broken is Bogus.
-    Signature checks that passed are remembered in `memo`, a fresh one for
-    this call when the caller passes none.
+    A Secure outcome carries the records it verified: `answer`, or
+    `authority` and `witnesses`, and `links`. Signature checks that passed
+    are remembered in `memo`, a fresh one for this call when the caller
+    passes none.
     """
     anchor = _closest_anchor(qname, anchors)
     if anchor is None:
@@ -384,6 +374,7 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
     fetch = _guarded(fetch)
     memo = SignatureMemo() if memo is None else memo
     chain: list[tuple[DnsName, int]] = []
+    links: list[tuple[DnsName, int, tuple]] = []
     try:
         # Signed answers name their zone; otherwise walk the whole way to the
         # qname so an unsigned delegation en route can downgrade to Insecure.
@@ -392,18 +383,20 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
             raise _Bogus(Reason.ANCHOR_MISMATCH)
         keys = _zone_keys(anchor.zone, fetch(anchor.zone, RType.DNSKEY),
                           lambda key: key == anchor.dnskey, Reason.ANCHOR_MISMATCH,
-                          chain, now, memo)
+                          chain, links, now, memo)
         # Descend through the suffixes of the signer zone below the anchor.
         for depth in range(len(anchor.zone.labels) + 1, len(target.labels) + 1):
             child = DnsName(target.labels[-depth:])
             ds_msg = fetch(child, RType.DS)
-            ds_rrset = _rrset_from(ds_msg, child, RType.DS)
-            if ds_rrset is not None:
-                _verified(ds_rrset, ds_msg.answers, keys, now, memo)
+            ds_records = ds_msg.records_of(child, RType.DS)
+            if ds_records:
+                ds_rrset = RRset.from_records(ds_records)
+                links.append((child, RType.DS, _verified(
+                    ds_records, ds_rrset, ds_msg.answers, keys, now, memo)[1]))
                 keys = _zone_keys(child, fetch(child, RType.DNSKEY),
                                   lambda key: any(match_ds(ds, key, child)
                                                   for ds in ds_rrset.rdatas),
-                                  Reason.DS_MISMATCH, chain, now, memo)
+                                  Reason.DS_MISMATCH, chain, links, now, memo)
                 continue
             # No DS RRset: a validated NSEC must say whether this is a real
             # delegation (then insecure) or no cut at all (then keep walking).
@@ -415,19 +408,31 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
                     and RType.NS in denial.witness[0].rdata.type_bitmap):
                 return ValidationOutcome(Security.INSECURE, Reason.UNSIGNED_DELEGATION,
                                          tuple(chain))
-        answer = answer_rrset(response, qname, qtype)
-        if answer is not None:
-            _verified(answer, response.answers, keys, now, memo)
+        # The asked type at the qname, or an alias in its place; else a denial
+        # that fits the rcode, and its SOA.
+        records = (response.records_of(qname, qtype)
+                   or response.records_of(qname, RType.CNAME))
+        answer = authority = witnesses = ()
+        if records:
+            answer = _verified(records, RRset.from_records(records), response.answers,
+                               keys, now, memo)[1]
         else:
-            if not _fits_rcode(response.rcode, qname, check_denial(
-                    qname, qtype, nsec_witnesses(response), keys, now, memo)):
+            witnesses = tuple(nsec_witnesses(response))
+            if not _fits_rcode(response.rcode, qname,
+                               check_denial(qname, qtype, witnesses, keys, now, memo)):
                 raise _Bogus(Reason.INVALID_DENIAL)
-            soa = _soa_records(response)
+            proven = {record for witness in witnesses for record in witness}
+            # The SOA RRset: the SOA records with the owner and class of the first.
+            soa = [r for r in response.authority if r.rtype == RType.SOA]
+            soa = [r for r in soa if (r.owner, r.rclass) == (soa[0].owner, soa[0].rclass)]
             if soa:
-                _verified(RRset.from_records(soa), response.authority, keys, now, memo)
+                proven.update(_verified(soa, RRset.from_records(soa), response.authority,
+                                        keys, now, memo)[1])
+            authority = tuple(r for r in response.authority if r in proven)
     except _Bogus as bogus:
         return ValidationOutcome(Security.BOGUS, bogus.reason, tuple(chain))
-    return ValidationOutcome(Security.SECURE, None, tuple(chain))
+    return ValidationOutcome(Security.SECURE, None, tuple(chain), answer, authority,
+                             witnesses, tuple(links))
 
 
 def _fits_rcode(rcode: int, qname: DnsName, denial: DenialOutcome) -> bool:

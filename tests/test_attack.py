@@ -234,8 +234,8 @@ def test_oracle_sees_a_forgery_that_validation_let_through(signed_zone, ksk, mon
     learned an NSEC gap that would answer later rounds without a query. A
     validating victim caches no referral, so only the reply and the cache
     entry for the round's name can show it."""
-    monkeypatch.setattr(resolver, "validate_chain",
-                        lambda *args: ValidationOutcome(Security.SECURE))
+    monkeypatch.setattr(resolver, "validate_chain", lambda reply, *args: ValidationOutcome(
+        Security.SECURE, answer=tuple(reply.answers)))
     cfg = kaminsky_cfg(forged_per_query=70_000, query_rounds=5, trials=2,
                        validation=True)
     lab = build_lab(cfg, signed_zone.zone, (TrustAnchor(APEX, ksk.public),))

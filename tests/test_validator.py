@@ -10,8 +10,8 @@ from dnsseclab.records import (ARdata, ResourceRecord, RRset,
                                RType, rdata_from_wire)
 from dnsseclab.server import answer_authoritative
 from dnsseclab.signer import SigningPolicy, make_ds, sign_rrset, sign_zone
-from dnsseclab.validator import (Denial, Reason, Security, SigCheck, nsec_witnesses,
-                                 check_denial, match_ds, validate_chain,
+from dnsseclab.validator import (Denial, Reason, Security, SigCheck, ValidationOutcome,
+                                 nsec_witnesses, check_denial, match_ds, validate_chain,
                                  verify_rrsig)
 
 from dnsseclab.zonefile import parse_zone_file
@@ -189,6 +189,45 @@ def test_denial_soundness_against_membership_oracle(three_owner_zone, small_keys
 def _answer_for(zone, qname, qtype=RType.A):
     return answer_authoritative(make_query(qname, qtype, edns=Edns(do=True)),
                                 [zone])
+
+
+_RECORD = ResourceRecord(APEX, RType.A, 1, 300, ARdata("192.168.1.3"))
+_WITNESS = (_RECORD, _RECORD)
+_LINK = (APEX, RType.DNSKEY, (_RECORD,))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(status=Security.SECURE, answer=(_RECORD,)),
+    dict(status=Security.SECURE, answer=(_RECORD,), links=(_LINK,)),
+    dict(status=Security.SECURE, authority=(_RECORD,), witnesses=(_WITNESS,)),
+    dict(status=Security.INSECURE, reason=Reason.UNSIGNED_DELEGATION, chain=((APEX, 1),)),
+    dict(status=Security.BOGUS, reason=Reason.BAD_SIGNATURE, chain=((APEX, 1),)),
+], ids=["answer", "answer-links", "denial", "insecure", "bogus"])
+def test_outcome_shapes_that_hold(fields):
+    ValidationOutcome(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(status=Security.SECURE),
+    dict(status=Security.SECURE, links=(_LINK,)),
+    dict(status=Security.SECURE, answer=(_RECORD,), authority=(_RECORD,),
+         witnesses=(_WITNESS,)),
+    dict(status=Security.SECURE, authority=(_RECORD,)),
+    dict(status=Security.SECURE, witnesses=(_WITNESS,)),
+    dict(status=Security.SECURE, answer=(_RECORD,), witnesses=(_WITNESS,)),
+    dict(status=Security.INSECURE, reason=Reason.NO_ANCHOR, answer=(_RECORD,)),
+    dict(status=Security.INSECURE, reason=Reason.UNSIGNED_DELEGATION, links=(_LINK,)),
+    dict(status=Security.BOGUS, reason=Reason.INVALID_DENIAL, authority=(_RECORD,),
+         witnesses=(_WITNESS,)),
+    dict(status=Security.BOGUS),
+], ids=["secure-empty", "secure-links-only", "secure-both", "secure-authority-only",
+        "secure-witnesses-only", "secure-answer-witnesses", "insecure-answer",
+        "insecure-links", "bogus-denial", "bogus-no-reason"])
+def test_outcome_shapes_that_are_refused(fields):
+    """Secure carries an answer or a denial, never both nor neither; Insecure
+    and Bogus carry no verified records; Bogus names its reason."""
+    with pytest.raises(ValueError):
+        ValidationOutcome(**fields)
 
 
 def test_single_zone_secure(signed_zone, ksk):
