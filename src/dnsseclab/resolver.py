@@ -1,17 +1,17 @@
 """Caching recursive resolver: full iterative resolution with referral
 following, TTL cache with security ranking, and chain-of-trust validation.
 
-Of a Secure reply, only what the walk verified reaches the client with AD
-or the cache as Secure: the `ValidationOutcome`'s `answer` or `authority`,
-and of its `links`, each DNSKEY or DS RRset the walk fetched upstream. Those
-keys are cached by the same lifetime rule as answers and served to later
-walks, so a warm validating lookup sends only its query.
+One rule admits what a final reply gives the client and the cache, with or
+without validation: its `validator.pick` (verified when Secure), nothing
+else. `resolve` serves the entry made from it, fresh or cached alike, and a
+Secure walk's DNSKEY and DS RRsets are cached by the same rule. Only the NS
+and glue of the referrals a plain resolver follows are cached as they came.
 
-Each NSEC of the outcome's `witnesses`, with its RRSIGs and the SOA, is also
-kept in a bounded index of the cache, per zone and in canonical order; a later
-lookup of a name inside such a gap is answered NXDOMAIN or NODATA with AD
-and sends nothing (RFC 8198 §5). Like `validator.check_denial`, this does
-not check that a wildcard at the closest encloser is denied (RFC 4035
+Each NSEC of a Secure outcome's `witnesses`, with its RRSIGs and the SOA, is
+also kept in a bounded index of the cache, per zone and in canonical order;
+a later lookup of a name inside such a gap is answered NXDOMAIN or NODATA
+with AD and sends nothing (RFC 8198 §5). Like `validator.check_denial`, this
+does not check that a wildcard at the closest encloser is denied (RFC 4035
 §5.4): wildcards are out of scope."""
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Callable
 from .config import RootHints
 from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
-from .records import RRset, RType, group_rrsets, nsec_gap_covers, rrsigs_covering
+from .records import ResourceRecord, RRset, RType, group_rrsets, nsec_gap_covers
 from .transport import Timeout, Transport, TransportError
-from .validator import FetchFailure, Security, SignatureMemo, validate_chain
+from .validator import FetchFailure, Picked, Security, SignatureMemo, pick, validate_chain
 
 MAX_NEGATIVE_TTL = 3600
 #: The longest any entry is cached, whatever its TTL (RFC 8767 §4: 7 days).
@@ -257,16 +257,10 @@ class RecursiveResolver:
             entry = self._synthesized(q.name, q.qtype, now)
         if entry is None:
             try:
-                msg, security = self._resolve_upstream(q.name, q.qtype, now)
+                entry = self._resolve_upstream(q.name, q.qtype, now)
             except (ResolutionError, TransportError, FetchFailure):
-                return self._reply(query, Rcode.SERVFAIL, (), (), Security.INSECURE)
-            return self._reply(query, msg.rcode, msg.answers, msg.authority, security)
-        ttl = entry.remaining_ttl(now)
-        if entry.negative is not None:
-            authority = [replace(r, ttl=min(r.ttl, ttl)) for r in entry.negative.authority]
-            return self._reply(query, entry.negative.rcode, (), authority, entry.security)
-        answers = [replace(r, ttl=ttl) for r in (*entry.rrset.records(), *entry.rrsigs)]
-        return self._reply(query, Rcode.NOERROR, answers, (), entry.security)
+                return make_reply(query, "ra", rcode=Rcode.SERVFAIL)
+        return self._reply(query, entry, self.clock())
 
     def resolve_name(self, qname: DnsName, qtype: int = RType.A,
                      do: bool = False) -> DnsMessage:
@@ -320,40 +314,33 @@ class RecursiveResolver:
             name = name.parent()
         return self.hint_addresses
 
-    def _resolve_upstream(self, qname: DnsName, qtype: int, now: float):
+    def _resolve_upstream(self, qname: DnsName, qtype: int, now: float) -> CacheEntry:
         referrals: list[DnsMessage] = []
         msg = resolve_iterative(
             qname, qtype, self._starting_servers(qname, now), self.transport,
             on_response=referrals.append)
-        security, witnesses = Security.INSECURE, ()
-        if self.config.dnssec_enabled:
-            fetched: dict[tuple[DnsName, int], DnsMessage] = {}
-            outcome = validate_chain(msg, qname, qtype,
-                                     list(self.config.anchors),
-                                     self._validation_fetch(now, fetched), int(now),
-                                     self.signature_memo)
-            if outcome.status is Security.BOGUS:
-                raise ServFail(f"validation failed: {outcome.reason}")
-            security = outcome.status
-            if security is Security.SECURE:
-                # Only what the walk verified is Secure (RFC 4035 §3.2.3). Of its
-                # links, only those fetched upstream are stored: storing one that
-                # came from the cache again would extend its life.
-                for name, rtype, records in outcome.links:
-                    if (name, rtype) in fetched:
-                        self._cache_response(name, rtype, replace(
-                            fetched[name, rtype], answers=list(records)), security, now)
-                msg = replace(msg, answers=list(outcome.answer),
-                              authority=list(outcome.authority))
-                witnesses = outcome.witnesses
-        else:
+        if not self.config.dnssec_enabled:
             # Referral infrastructure is only trusted (and cached) when no
             # validation is in force; a validating resolver keeps only data
             # it has checked.
             for referral in referrals[:-1]:
                 self._cache_referral(referral, now)
-        self._cache_response(qname, qtype, msg, security, now, witnesses)
-        return msg, security
+            return self._cache_response(qname, qtype, msg.rcode, pick(msg, qname, qtype),
+                                        Security.INSECURE, now)
+        fetched: dict[tuple[DnsName, int], DnsMessage] = {}
+        outcome = validate_chain(msg, qname, qtype, list(self.config.anchors),
+                                 self._validation_fetch(now, fetched), int(now),
+                                 self.signature_memo)
+        if outcome.status is Security.BOGUS:
+            raise ServFail(f"validation failed: {outcome.reason}")
+        # Only what the walk verified is Secure (RFC 4035 §3.2.3). Of its links, only
+        # those fetched upstream are stored: storing one again would extend its life.
+        for name, rtype, records in outcome.links:
+            if (name, rtype) in fetched:
+                self._cache_response(name, rtype, fetched[name, rtype].rcode,
+                                     Picked(answer=records), Security.SECURE, now)
+        picked = outcome if outcome.status is Security.SECURE else pick(msg, qname, qtype)
+        return self._cache_response(qname, qtype, msg.rcode, picked, outcome.status, now)
 
     def _validation_fetch(self, now: float, fetched: dict):
         """The walk's fetch: a DNSKEY or DS RRset that an earlier walk
@@ -375,77 +362,86 @@ class RecursiveResolver:
     def _cache_referral(self, msg: DnsMessage, now: float) -> None:
         infrastructure = [r for r in msg.authority if r.rtype == RType.NS]
         infrastructure += [r for r in msg.additional if r.rtype == RType.A]
-        for rrset in group_rrsets(infrastructure):
+        for rrset in group_rrsets(r for r in infrastructure if r.rclass == 1):
             self.cache.put(CacheEntry(
                 key=(rrset.owner, rrset.rtype, rrset.rclass), rrset=rrset,
                 inserted_at=now, expires_at=now + min(rrset.ttl, MAX_CACHE_TTL),
                 security=Security.INSECURE), now)
 
-    def _cache_response(self, qname: DnsName, qtype: int, msg: DnsMessage,
-                        security: Security, now: float, witnesses: tuple = ()) -> None:
-        """Cache an answer's RRsets, or a negative answer under the query key
-        and the gaps of its verified `witnesses`. An entry lives at most
-        `MAX_CACHE_TTL`, a negative one at most its SOA's TTL and MINIMUM and
-        `MAX_NEGATIVE_TTL` (RFC 2308 §5), and a Secure one no longer than any
-        RRSIG over it allows: its original TTL and expiration (RFC 4035 §5.3.3)."""
-        if msg.rcode not in (Rcode.NOERROR, Rcode.NXDOMAIN):
-            return
+    def _cache_response(self, qname: DnsName, qtype: int, rcode: int, picked,
+                        security: Security, now: float) -> CacheEntry:
+        """The entry for (qname, qtype) from a final reply's `picked` records
+        (a `Picked` or a Secure outcome), returned whether or not the cache
+        keeps it; empty and never stored for an rcode other than NOERROR or
+        NXDOMAIN. An answer's RRset is stored under its own key too; a Secure
+        denial indexes each witness's gap. An entry lives at most `MAX_CACHE_TTL`,
+        a negative one at most its SOA's TTL and MINIMUM and `MAX_NEGATIVE_TTL`
+        (RFC 2308 §5), and a Secure one no longer than its RRSIGs' original TTL
+        and expiration (RFC 4035 §5.3.3)."""
+        key = (qname, qtype, 1)
+        if rcode not in (Rcode.NOERROR, Rcode.NXDOMAIN):
+            return CacheEntry(key=key, rrset=None, inserted_at=now, expires_at=now,
+                              negative=DnsMessage(rcode=rcode))
 
-        def expiry(ttl: float, rrsigs) -> float:
+        def expiry(ttl: float, records) -> float:
             if security is Security.SECURE:
-                for sig in rrsigs:
-                    ttl = min(ttl, sig.rdata.original_ttl, sig.rdata.expiration - now)
+                for sig in records:
+                    if sig.rtype == RType.RRSIG:
+                        ttl = min(ttl, sig.rdata.original_ttl, sig.rdata.expiration - now)
             return now + min(ttl, MAX_CACHE_TTL)
 
-        if msg.answers:
-            for rrset in group_rrsets(r for r in msg.answers
-                                      if r.rtype != RType.RRSIG and r.rclass == 1):
-                covering = rrsigs_covering(msg.answers, rrset.owner, rrset.rtype)
-                entry = CacheEntry(key=(rrset.owner, rrset.rtype, rrset.rclass),
-                                   rrset=rrset, rrsigs=tuple(covering),
-                                   inserted_at=now, expires_at=expiry(rrset.ttl, covering),
-                                   security=security)
+        if picked.answer:
+            rtype = picked.answer[0].rtype
+            rrset = RRset.from_records(r for r in picked.answer if r.rtype == rtype)
+            rrsigs = tuple(r for r in picked.answer if r.rtype != rtype)
+            entry = CacheEntry(key=(qname, rtype, 1), rrset=rrset, rrsigs=rrsigs,
+                               inserted_at=now, expires_at=expiry(rrset.ttl, rrsigs),
+                               security=security)
+            self.cache.put(entry, now)
+            if rtype != qtype:  # an alias, kept under the asked type too
+                entry = replace(entry, key=key)
                 self.cache.put(entry, now)
-                if rrset.owner == qname and rrset.rtype != qtype:
-                    self.cache.put(replace(entry, key=(qname, qtype, 1)), now)
-            return
-        # Negative answer: cache the skeleton under the query key.
-        soa = next((r for r in msg.authority if r.rtype == RType.SOA), None)
+            return entry
+        authority = picked.authority
+        soa = next((r for r in authority if r.rtype == RType.SOA), None)
         ttl = min(soa.ttl, soa.rdata.minimum, MAX_NEGATIVE_TTL) if soa else 60
-        skeleton = DnsMessage(rcode=msg.rcode, authority=list(msg.authority))
-        rrsigs = [r for r in msg.authority if r.rtype == RType.RRSIG]
-        entry = CacheEntry(key=(qname, qtype, 1), rrset=None, inserted_at=now,
-                           expires_at=expiry(ttl, rrsigs), security=security,
-                           negative=skeleton)
+        entry = CacheEntry(key=key, rrset=None, inserted_at=now,
+                           expires_at=expiry(ttl, authority), security=security,
+                           negative=DnsMessage(rcode=rcode, authority=list(authority)))
         self.cache.put(entry, now)
         if security is not Security.SECURE or soa is None:
-            return
+            return entry
         # Each NSEC the walk verified indexes its gap with its RRSIGs and the
         # SOA, no longer than the negative entry nor its TTL (RFC 8198 §4,
         # RFC 9077 §3).
+        witnesses = picked.witnesses
         paired = {record for witness in witnesses for record in witness}
         for nsec, _ in witnesses:
-            proof = [r for r in msg.authority
+            proof = [r for r in authority
                      if r == nsec or (nsec, r) in witnesses or r not in paired]
             self.cache.put_gap(soa.owner, replace(
                 entry, key=(nsec.owner, RType.NSEC, 1), rrset=RRset.from_records([nsec]),
                 expires_at=min(entry.expires_at, now + nsec.ttl),
                 negative=DnsMessage(authority=proof)), now)
+        return entry
 
-    def _reply(self, query: DnsMessage, rcode: int, answers, authority,
-               security: Security) -> DnsMessage:
-        """The reply to a client, fresh or cached alike: only class IN; without
-        the DO bit, DNSSEC records only of the type it asked for; and AD marks
-        data validated as Secure."""
-        reply = make_reply(query, "ra", rcode=rcode)
-        if security is Security.SECURE and self.config.dnssec_enabled:
+    def _reply(self, query: DnsMessage, entry: CacheEntry, now: float) -> DnsMessage:
+        """The one reply to a client: from an entry just made, cached or
+        synthesized alike, no TTL past the entry's remaining life; without the
+        DO bit, DNSSEC records only of the type asked for; AD when Secure."""
+        ttl, negative = entry.remaining_ttl(now), entry.negative
+        reply = make_reply(query, "ra", rcode=negative.rcode if negative else Rcode.NOERROR)
+        if entry.security is Security.SECURE and self.config.dnssec_enabled:
             reply.flags = reply.flags | {"ad"}
         do, qtype = query.do_bit, query.question.qtype
 
-        def visible(records) -> list:
-            return [r for r in records if r.rclass == 1
-                    and (do or r.rtype == qtype or r.rtype not in _DNSSEC_TYPES)]
+        def served(records) -> list:
+            return [r if r.ttl <= ttl else ResourceRecord(r.owner, r.rtype, r.rclass, ttl,
+                                                           r.rdata)
+                    for r in records if do or r.rtype == qtype or r.rtype not in _DNSSEC_TYPES]
 
-        reply.answers = visible(answers)
-        reply.authority = visible(authority)
+        if negative is None:
+            reply.answers = served((*entry.rrset.records(), *entry.rrsigs))
+        else:
+            reply.authority = served(negative.authority)
         return reply

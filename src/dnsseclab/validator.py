@@ -23,12 +23,15 @@ below the qname); and the SOA it carries must verify like any other RRset.
 The walk gets each DNSKEY and DS RRset through its `fetch` callback, and
 checks it against the anchor or DS however it came: a `RecursiveResolver`
 answers it from the RRsets that earlier Secure walks verified, and its
-signature memo passes those checks without public-key work. A Secure
-`ValidationOutcome` carries the records the walk verified, each found once:
-the `answer` RRset, or an alias in its place; or of a denial, the NSEC
-`witnesses` paired with their RRSIGs, and the `authority` they and the SOA
-RRset make; and `links`, each DNSKEY and DS RRset of the walk. Each comes
-as the response gave it, RRSIGs after the records they cover.
+signature memo passes those checks without public-key work.
+
+`pick` is the one rule for the records of a reply that answer a question,
+and `validate_chain` verifies exactly what it picks: the `answer`, or of a
+denial, the NSEC `witnesses` and the `authority` they and the SOA RRset
+make. A Secure `ValidationOutcome` carries them, and `links`, each DNSKEY
+and DS RRset of the walk, as the response gave them, RRSIGs after the
+records they cover. The resolver serves and caches the same pick of any
+other reply, unverified.
 
 Wildcards are out of scope: an NXDOMAIN proof here shows only the NSEC
 that covers the qname, and `check_denial` does not check that a wildcard at
@@ -42,15 +45,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import rsa
 from .keystore import ALGORITHMS, TrustAnchor, decode_rsa_public
 from .message import DnsMessage, Rcode
 from .names import DnsName
 from .records import (DnskeyRdata, DsRdata, ResourceRecord, RRset, RrsigRdata,
-                      RType, canonical_rrset_bytes, nsec_gap_covers,
-                      rrsigs_covering)
+                      RType, canonical_rrset_bytes, nsec_gap_covers, rrsigs_covering)
 
 DS_DIGESTS = {1: "sha1", 2: "sha256"}
 #: Most passed checks a `SignatureMemo` holds: as many as a resolver's
@@ -315,11 +317,37 @@ def _closest_anchor(qname: DnsName, anchors: list[TrustAnchor]) -> TrustAnchor |
     return best
 
 
-def nsec_witnesses(msg: DnsMessage) -> list[tuple[ResourceRecord, ResourceRecord]]:
-    """Pair each NSEC in the authority section with its covering RRSIG; the
-    response's authority section is where proof material travels."""
-    return [(record, sig) for record in msg.authority if record.rtype == RType.NSEC
-            for sig in rrsigs_covering(msg.authority, record.owner, RType.NSEC)]
+class Picked(NamedTuple):
+    """What `pick` finds; a Secure `ValidationOutcome` carries the same."""
+    answer: tuple = ()
+    authority: tuple = ()
+    witnesses: tuple = ()
+
+
+def pick(msg: DnsMessage, qname: DnsName, qtype: int) -> Picked:
+    """The class-IN records of `msg` that answer (qname, qtype): the asked RRset
+    at the qname, or the CNAME there, then its RRSIGs. Else a denial: the
+    `witnesses`, each authority NSEC owning or covering the qname paired with
+    each RRSIG over it, and the SOA RRset of the first SOA owner at or above
+    the qname, with its RRSIGs, make the `authority` (in the reply's order)."""
+    records = msg.records_of(qname, qtype) or msg.records_of(qname, RType.CNAME)
+    if records:
+        return Picked(answer=(*records, *rrsigs_covering(msg.answers, qname, records[0].rtype)))
+    soa_type, nsec_type = RType.SOA, RType.NSEC  # looked up once, not per record
+    authority, key = msg.authority, qname.canonical_key()
+    witnesses = tuple([
+        (nsec, sig) for nsec in authority
+        if nsec.rtype == nsec_type and nsec.rclass == 1 and (
+            nsec.owner == qname or nsec_gap_covers(
+                nsec.owner.canonical_key(), nsec.rdata.next_name.canonical_key(), key))
+        for sig in rrsigs_covering(authority, nsec.owner, nsec_type)])
+    kept = {id(record) for witness in witnesses for record in witness}
+    soa = next((r.owner for r in authority if r.rtype == soa_type
+                and r.rclass == 1 and qname.is_subdomain_of(r.owner)), None)
+    kept.update(map(id, rrsigs_covering(authority, soa, soa_type)))
+    return Picked(authority=tuple([r for r in authority if id(r) in kept or (
+        r.rtype == soa_type and r.rclass == 1 and r.owner == soa)]),
+        witnesses=witnesses)
 
 
 def _verified(records: list[ResourceRecord], rrset: RRset, section: list,
@@ -378,7 +406,9 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
     try:
         # Signed answers name their zone; otherwise walk the whole way to the
         # qname so an unsigned delegation en route can downgrade to Insecure.
-        target = _signer_zone(response, qname, qtype) or qname
+        picked = pick(response, qname, qtype)
+        target = next((r.rdata.signer_name for r in (*picked.answer, *picked.authority)
+                       if r.rtype == RType.RRSIG), qname)
         if not target.is_subdomain_of(anchor.zone):
             raise _Bogus(Reason.ANCHOR_MISMATCH)
         keys = _zone_keys(anchor.zone, fetch(anchor.zone, RType.DNSKEY),
@@ -400,39 +430,26 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
                 continue
             # No DS RRset: a validated NSEC must say whether this is a real
             # delegation (then insecure) or no cut at all (then keep walking).
-            denial = check_denial(child, RType.DS, nsec_witnesses(ds_msg), keys, now,
-                                  memo)
+            denial = check_denial(child, RType.DS, pick(ds_msg, child, RType.DS).witnesses,
+                                  keys, now, memo)
             if denial.kind not in _PROVEN:
                 raise _Bogus(Reason.MISSING_DS_PROOF)
             if (denial.kind is Denial.TYPE_DOES_NOT_EXIST
                     and RType.NS in denial.witness[0].rdata.type_bitmap):
                 return ValidationOutcome(Security.INSECURE, Reason.UNSIGNED_DELEGATION,
                                          tuple(chain))
-        # The asked type at the qname, or an alias in its place; else a denial
-        # that fits the rcode, and its SOA.
-        records = (response.records_of(qname, qtype)
-                   or response.records_of(qname, RType.CNAME))
-        answer = authority = witnesses = ()
+        # The picked answer RRset; else a denial that fits the rcode, and its SOA.
+        if not picked.answer and not _fits_rcode(response.rcode, qname, check_denial(
+                qname, qtype, picked.witnesses, keys, now, memo)):
+            raise _Bogus(Reason.INVALID_DENIAL)
+        section = picked.answer or picked.authority
+        rtype = picked.answer[0].rtype if picked.answer else RType.SOA
+        records = [r for r in section if r.rtype == rtype]
         if records:
-            answer = _verified(records, RRset.from_records(records), response.answers,
-                               keys, now, memo)[1]
-        else:
-            witnesses = tuple(nsec_witnesses(response))
-            if not _fits_rcode(response.rcode, qname,
-                               check_denial(qname, qtype, witnesses, keys, now, memo)):
-                raise _Bogus(Reason.INVALID_DENIAL)
-            proven = {record for witness in witnesses for record in witness}
-            # The SOA RRset: the SOA records with the owner and class of the first.
-            soa = [r for r in response.authority if r.rtype == RType.SOA]
-            soa = [r for r in soa if (r.owner, r.rclass) == (soa[0].owner, soa[0].rclass)]
-            if soa:
-                proven.update(_verified(soa, RRset.from_records(soa), response.authority,
-                                        keys, now, memo)[1])
-            authority = tuple(r for r in response.authority if r in proven)
+            _verified(records, RRset.from_records(records), section, keys, now, memo)
     except _Bogus as bogus:
         return ValidationOutcome(Security.BOGUS, bogus.reason, tuple(chain))
-    return ValidationOutcome(Security.SECURE, None, tuple(chain), answer, authority,
-                             witnesses, tuple(links))
+    return ValidationOutcome(Security.SECURE, None, tuple(chain), *picked, tuple(links))
 
 
 def _fits_rcode(rcode: int, qname: DnsName, denial: DenialOutcome) -> bool:
@@ -446,17 +463,3 @@ def _fits_rcode(rcode: int, qname: DnsName, denial: DenialOutcome) -> bool:
     # The gap covers qname, so its next name is not qname itself.
     empty_non_terminal = denial.witness[0].rdata.next_name.is_subdomain_of(qname)
     return rcode == (Rcode.NOERROR if empty_non_terminal else Rcode.NXDOMAIN)
-
-
-def _signer_zone(response: DnsMessage, qname: DnsName, qtype: int) -> DnsName | None:
-    """The zone that must vouch for this response, from its RRSIGs over the
-    answer or an alias in its place (falling back to the authority SOA/NSEC
-    signer for negative answers)."""
-    for record in response.answers:
-        if record.rtype == RType.RRSIG and record.owner == qname \
-                and record.rdata.type_covered in (qtype, RType.CNAME):
-            return record.rdata.signer_name
-    for record in response.authority:
-        if record.rtype == RType.RRSIG:
-            return record.rdata.signer_name
-    return None

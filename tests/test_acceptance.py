@@ -20,7 +20,7 @@ from dnsseclab.names import DnsName, canonical_compare
 from dnsseclab.records import ResourceRecord, RType, rdata_from_wire
 from dnsseclab.server import AuthoritativeService, DnsServer, answer_authoritative
 from dnsseclab.signer import SigningPolicy, sign_zone
-from dnsseclab.validator import (Denial, Security, check_denial, nsec_witnesses,
+from dnsseclab.validator import (Denial, Security, check_denial, pick,
                                  validate_chain)
 
 from dnsseclab.zonefile import load_zone_file, parse_zone_file
@@ -216,26 +216,25 @@ def test_criterion_3_denial_soundness():
     for qname in universe:
         reply = answer_authoritative(
             make_query(qname, RType.A, edns=Edns(do=True)), [zone])
-        outcome = check_denial(qname, RType.A, nsec_witnesses(reply), keys,
-                               FIXED_NOW)
+        outcome = check_denial(qname, RType.A, pick(reply, qname, RType.A).witnesses,
+                               keys, FIXED_NOW)
         absent = qname not in owners
         if (outcome.kind is Denial.NAME_DOES_NOT_EXIST) != absent:
             mismatches.append(qname)
 
     # the three conditions the denial logic implements, one case each:
     # (i) qname strictly between an NSEC owner and its next name
+    ns = DnsName.from_text("ns.domaine.ma.")
     between = check_denial(
-        DnsName.from_text("ns.domaine.ma."), RType.A,
-        nsec_witnesses(answer_authoritative(
-            make_query(DnsName.from_text("ns.domaine.ma."), RType.A,
-                       edns=Edns(do=True)), [zone])), keys, FIXED_NOW)
+        ns, RType.A,
+        pick(answer_authoritative(make_query(ns, RType.A, edns=Edns(do=True)), [zone]),
+             ns, RType.A).witnesses, keys, FIXED_NOW)
     # (ii) the record type does not exist at a name that does
     # (iii) equivalently, the bit for that type is 0 in the bit vector
-    nodata_witnesses = nsec_witnesses(answer_authoritative(
-        make_query(DnsName.from_text("mail.domaine.ma."), 28,
-                   edns=Edns(do=True)), [zone]))
-    nodata = check_denial(DnsName.from_text("mail.domaine.ma."), 28,
-                          nodata_witnesses, keys, FIXED_NOW)
+    mail = DnsName.from_text("mail.domaine.ma.")
+    nodata_witnesses = pick(answer_authoritative(
+        make_query(mail, 28, edns=Edns(do=True)), [zone]), mail, 28).witnesses
+    nodata = check_denial(mail, 28, nodata_witnesses, keys, FIXED_NOW)
     bit_clear = all(28 not in w.rdata.type_bitmap for w, _ in nodata_witnesses)
 
     ok = (not mismatches

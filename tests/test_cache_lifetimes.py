@@ -11,69 +11,21 @@ from dataclasses import replace
 import pytest
 
 from dnsseclab.keystore import TrustAnchor
-from dnsseclab.message import Rcode, decode_message, encode_message
+from dnsseclab.message import Rcode
 from dnsseclab.names import DnsName
-from dnsseclab.netsim import SimNetwork, SimTransport
-from dnsseclab.records import ARdata, ResourceRecord, RType
-from dnsseclab.resolver import (MAX_CACHE_TTL, MAX_NEGATIVE_TTL, RecursiveResolver,
-                                ResolverConfig)
-from dnsseclab.server import AuthoritativeService
+from dnsseclab.records import ARdata, RType
+from dnsseclab.resolver import MAX_CACHE_TTL, MAX_NEGATIVE_TTL
 from dnsseclab.validator import Security
 
-from conftest import APEX, FIXED_NOW
+from conftest import APEX
+from hostile import (FORGED, HOSTILE_TTL, MAIL, each_record, hostile_victim, raising_ttls,
+                     untouched)
 
-AUTHORITY = "198.51.100.53"
 #: The glue address of `ns.domaine.ma.` in the parent zone's referral.
 CHILD_AUTHORITY = "192.168.1.1"
 WWW = DnsName.from_text("www.domaine.ma.")
-MAIL = DnsName.from_text("mail.domaine.ma.")
 NOWHERE = DnsName.from_text("nowhere.domaine.ma.")
 NS = DnsName.from_text("ns.domaine.ma.")
-HOSTILE_TTL = 2 ** 31 - 1
-#: An unsigned record an attacker slips into a reply for another name.
-FORGED = ResourceRecord(MAIL, RType.A, 1, 300, ARdata("203.0.113.99"))
-
-
-def _victim(zone, tamper, anchor=None, start=float(FIXED_NOW), parent=None):
-    """A resolver whose only server is `zone`'s authority, with every reply
-    passed through `tamper` on the way. Given a `parent` zone, its only
-    server is the parent's authority instead, which refers it to `zone` at
-    `CHILD_AUTHORITY`, and only the parent's replies are tampered with."""
-    network = SimNetwork(start_time=start)
-
-    def hostile(service):
-        def handle(wire, via_tcp):
-            reply = decode_message(service.handle_wire(wire, via_tcp))
-            tamper(reply)
-            return encode_message(reply)
-        return handle
-
-    if parent is None:
-        network.register(AUTHORITY, hostile(AuthoritativeService([zone])))
-    else:
-        network.register(AUTHORITY, hostile(AuthoritativeService([parent])))
-        network.register(CHILD_AUTHORITY, AuthoritativeService([zone]).handle_wire)
-    config = ResolverConfig(dnssec_enabled=anchor is not None,
-                            anchors=(anchor,) if anchor else ())
-    return network, RecursiveResolver([AUTHORITY], SimTransport(network, "192.0.2.10"),
-                                      config=config, clock=network.clock)
-
-
-def _each_record(rewrite):
-    """A tamper that passes every record of the reply through `rewrite`."""
-    def tamper(reply):
-        for section in (reply.answers, reply.authority, reply.additional):
-            section[:] = [rewrite(record) for record in section]
-    return tamper
-
-
-def _raising_ttls(*rtypes):
-    return _each_record(lambda record: replace(record, ttl=HOSTILE_TTL)
-                        if record.rtype in rtypes else record)
-
-
-def _untouched(reply):
-    pass
 
 
 def _lifetime(victim, network, qname, qtype=RType.A):
@@ -87,7 +39,7 @@ def _expiration(zone, owner, covered):
 
 
 def test_unvalidated_entry_is_capped_at_max_cache_ttl(signed_zone):
-    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.A))
+    network, victim = hostile_victim(signed_zone.zone, raising_ttls(RType.A))
     victim.resolve_name(WWW)
     assert _lifetime(victim, network, WWW) == MAX_CACHE_TTL
     cached = victim.resolve_name(WWW)
@@ -95,7 +47,8 @@ def test_unvalidated_entry_is_capped_at_max_cache_ttl(signed_zone):
 
 
 def test_secure_entry_lives_no_longer_than_the_rrsig_original_ttl(signed_zone, ksk):
-    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.A), TrustAnchor(APEX, ksk.public))
+    network, victim = hostile_victim(signed_zone.zone, raising_ttls(RType.A),
+                                     TrustAnchor(APEX, ksk.public))
     assert "ad" in victim.resolve_name(WWW, do=True).flags
     assert {r.rdata.original_ttl for r in signed_zone.zone.records_at(WWW, RType.RRSIG)
             if r.rdata.type_covered == RType.A} == {86400}
@@ -107,8 +60,9 @@ def test_secure_entry_lives_no_longer_than_the_rrsig_original_ttl(signed_zone, k
 
 def test_secure_entry_and_ad_end_when_the_rrsig_expires(signed_zone, ksk):
     expiration = _expiration(signed_zone.zone, WWW, RType.A)
-    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.A), TrustAnchor(APEX, ksk.public),
-                              start=expiration - 1000.0)
+    network, victim = hostile_victim(signed_zone.zone, raising_ttls(RType.A),
+                                     TrustAnchor(APEX, ksk.public),
+                                     start=expiration - 1000.0)
     assert "ad" in victim.resolve_name(WWW, do=True).flags
     assert _lifetime(victim, network, WWW) <= 1000
     network.advance(999)
@@ -122,8 +76,9 @@ def test_secure_entry_and_ad_end_when_the_rrsig_expires(signed_zone, ksk):
 
 def test_secure_negative_entry_ends_when_its_rrsigs_expire(signed_zone, ksk):
     expiration = _expiration(signed_zone.zone, APEX, RType.SOA)
-    network, victim = _victim(signed_zone.zone, _untouched, TrustAnchor(APEX, ksk.public),
-                              start=expiration - 100.0)
+    network, victim = hostile_victim(signed_zone.zone, untouched,
+                                     TrustAnchor(APEX, ksk.public),
+                                     start=expiration - 100.0)
     reply = victim.resolve_name(NOWHERE, do=True)
     assert reply.rcode == Rcode.NXDOMAIN and "ad" in reply.flags
     assert _lifetime(victim, network, NOWHERE) <= 100
@@ -141,22 +96,22 @@ def test_negative_entry_is_capped_by_the_soa_and_max_negative_ttl(fixture_zone, 
             return record
         return replace(record, ttl=soa_ttl, rdata=replace(record.rdata, minimum=minimum))
 
-    network, victim = _victim(fixture_zone, _each_record(rewrite))
+    network, victim = hostile_victim(fixture_zone, each_record(rewrite))
     assert victim.resolve_name(NOWHERE).rcode == Rcode.NXDOMAIN
     assert _lifetime(victim, network, NOWHERE) == expected
 
 
 def test_referral_ns_and_glue_are_capped_at_max_cache_ttl(signed_zone, parent_zone_signed):
-    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.NS, RType.A),
-                              parent=parent_zone_signed.zone)
+    network, victim = hostile_victim(parent_zone_signed.zone, raising_ttls(RType.NS, RType.A),
+                                     below=[(CHILD_AUTHORITY, signed_zone.zone)])
     assert victim.resolve_name(WWW).rcode == Rcode.NOERROR
     assert _lifetime(victim, network, APEX, RType.NS) == MAX_CACHE_TTL
     assert _lifetime(victim, network, NS) == MAX_CACHE_TTL
 
 
 def test_cached_dnskey_lives_no_longer_than_its_rrsig_original_ttl(signed_zone, ksk):
-    network, victim = _victim(signed_zone.zone, _raising_ttls(RType.DNSKEY),
-                              TrustAnchor(APEX, ksk.public))
+    network, victim = hostile_victim(signed_zone.zone, raising_ttls(RType.DNSKEY),
+                                     TrustAnchor(APEX, ksk.public))
     assert "ad" in victim.resolve_name(WWW, do=True).flags
     assert {r.rdata.original_ttl for r in signed_zone.zone.records_at(APEX, RType.RRSIG)
             if r.rdata.type_covered == RType.DNSKEY} == {86400}
@@ -171,8 +126,9 @@ def test_cached_dnskey_ends_when_its_rrsig_expires(signed_zone, ksk):
     lookup fails."""
     expiration = _expiration(signed_zone.zone, APEX, RType.DNSKEY)
     assert _expiration(signed_zone.zone, MAIL, RType.A) >= expiration
-    network, victim = _victim(signed_zone.zone, _untouched, TrustAnchor(APEX, ksk.public),
-                              start=expiration - 1000.0)
+    network, victim = hostile_victim(signed_zone.zone, untouched,
+                                     TrustAnchor(APEX, ksk.public),
+                                     start=expiration - 1000.0)
     assert "ad" in victim.resolve_name(WWW, do=True).flags
     assert _lifetime(victim, network, APEX, RType.DNSKEY) <= 1000
     network.advance(999)
@@ -202,7 +158,8 @@ def test_unsigned_extra_answer_is_neither_served_with_ad_nor_cached(signed_zone,
         if (reply.question.name, reply.question.qtype) == tampered:
             reply.answers.append(FORGED)
 
-    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    network, victim = hostile_victim(signed_zone.zone, tamper,
+                                     TrustAnchor(APEX, ksk.public))
     first = victim.resolve_name(qname, do=True)
     assert first.rcode == rcode and "ad" in first.flags
     assert FORGED.rdata not in [r.rdata for r in first.answers]
@@ -222,7 +179,8 @@ def test_other_class_copy_of_an_answer_record_is_neither_served_nor_cached(signe
             first = next(r for r in reply.answers if r.rtype == RType.A)
             reply.answers.append(replace(first, rclass=3))
 
-    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    network, victim = hostile_victim(signed_zone.zone, tamper,
+                                     TrustAnchor(APEX, ksk.public))
     reply = victim.resolve_name(WWW, do=True)
     assert reply.rcode == Rcode.NOERROR and "ad" in reply.flags
     served = [r for r in reply.answers if r.rtype == RType.A]
@@ -240,7 +198,7 @@ def test_plain_resolver_neither_serves_nor_caches_another_class(fixture_zone):
         if (reply.question.name, reply.question.qtype) == (WWW, RType.A):
             reply.answers.append(replace(reply.answers[0], rclass=3))
 
-    network, victim = _victim(fixture_zone, tamper)
+    network, victim = hostile_victim(fixture_zone, tamper)
     reply = victim.resolve_name(WWW)
     assert reply.rcode == Rcode.NOERROR
     assert sorted(r.rdata.address for r in reply.answers) == sorted(
@@ -259,7 +217,8 @@ def test_other_class_copy_of_an_answer_rrsig_is_neither_served_nor_cached(signed
             sig = next(r for r in reply.answers if r.rtype == RType.RRSIG)
             reply.answers.append(replace(sig, rclass=3))
 
-    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    network, victim = hostile_victim(signed_zone.zone, tamper,
+                                     TrustAnchor(APEX, ksk.public))
     reply = victim.resolve_name(WWW, do=True)
     assert reply.rcode == Rcode.NOERROR and "ad" in reply.flags
     assert {r.rclass for r in reply.answers} == {1}
@@ -277,7 +236,8 @@ def test_unsigned_extra_authority_record_is_neither_served_with_ad_nor_cached(si
         if reply.question.name == NOWHERE:
             reply.authority.append(FORGED)
 
-    network, victim = _victim(signed_zone.zone, tamper, TrustAnchor(APEX, ksk.public))
+    network, victim = hostile_victim(signed_zone.zone, tamper,
+                                     TrustAnchor(APEX, ksk.public))
     fresh = victim.resolve_name(NOWHERE, do=True)
     sent = network.transactions
     cached = victim.resolve_name(NOWHERE, do=True)
@@ -300,8 +260,8 @@ def test_corrupted_soa_signature_fails_validation(signed_zone, ksk):
         flipped = bytes([signature[0] ^ 1]) + signature[1:]
         return replace(record, rdata=replace(record.rdata, signature=flipped))
 
-    network, victim = _victim(signed_zone.zone, _each_record(corrupt),
-                              TrustAnchor(APEX, ksk.public))
+    network, victim = hostile_victim(signed_zone.zone, each_record(corrupt),
+                                     TrustAnchor(APEX, ksk.public))
     reply = victim.resolve_name(NOWHERE, do=True)
     assert reply.rcode == Rcode.SERVFAIL and "ad" not in reply.flags
     assert victim.cache.get((NOWHERE, RType.A, 1), network.clock()) is None

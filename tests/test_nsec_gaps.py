@@ -17,22 +17,19 @@ from dataclasses import replace
 import pytest
 
 from dnsseclab.keystore import KeyRole, TrustAnchor, generate_key
-from dnsseclab.message import (DnsMessage, Edns, Rcode, decode_message, encode_message,
-                               make_query)
+from dnsseclab.message import DnsMessage, Edns, Rcode, make_query
 from dnsseclab.names import DnsName
-from dnsseclab.netsim import SimNetwork, SimTransport
 from dnsseclab.records import NsecRdata, ResourceRecord, RRset, RType
-from dnsseclab.resolver import (MAX_NEGATIVE_TTL, Cache, CacheEntry, RecursiveResolver,
-                                ResolverConfig)
+from dnsseclab.resolver import MAX_NEGATIVE_TTL, Cache, CacheEntry
 from dnsseclab.validator import Security
-from dnsseclab.server import AuthoritativeService, answer_authoritative
+from dnsseclab.server import answer_authoritative
 from dnsseclab.signer import SigningPolicy, sign_zone
 from dnsseclab.zonefile import parse_zone_file
 
 from conftest import APEX, FIXED_NOW, ZONE_TEXT
+from hostile import hostile_victim
 
 SUB = DnsName.from_text("sub.domaine.ma.")
-AUTHORITY = "198.51.100.53"
 SUB_AUTHORITY = "192.168.1.40"
 #: The reference zone with an empty non-terminal (`deep`) and an unsigned
 #: delegation (`sub`, no DS) to a child that is signed but has no anchor.
@@ -63,24 +60,13 @@ def _name(text):
     return DnsName.from_text(text, APEX)
 
 
-def _victim(zones, validation=True, cache=None, tamper=None):
-    """A resolver whose only hint is the parent's authority; `tamper` rewrites
-    the parent's replies on the way."""
+def _gap_victim(zones, validation=True, **kwargs):
+    """A hostile victim whose only hint is the parent's authority, with the
+    child's below it; it validates under the parent's anchor unless
+    `validation` is off."""
     parent, child, anchor = zones
-    network = SimNetwork(start_time=float(FIXED_NOW))
-    service = AuthoritativeService([parent])
-
-    def handle(wire, via_tcp):
-        reply = decode_message(service.handle_wire(wire, via_tcp))
-        if tamper is not None:
-            tamper(reply)
-        return encode_message(reply)
-
-    network.register(AUTHORITY, handle)
-    network.register(SUB_AUTHORITY, AuthoritativeService([child]).handle_wire)
-    config = ResolverConfig(dnssec_enabled=validation, anchors=(anchor,))
-    return network, RecursiveResolver([AUTHORITY], SimTransport(network, "192.0.2.10"),
-                                      cache=cache, config=config, clock=network.clock)
+    return hostile_victim(parent, anchor=anchor if validation else None,
+                          below=[(SUB_AUTHORITY, child)], **kwargs)
 
 
 def _proof(reply):
@@ -97,7 +83,7 @@ def _proof(reply):
 ], ids=["nxdomain", "nodata", "empty-non-terminal", "nxdomain-other-type"])
 def test_a_name_inside_a_validated_gap_is_answered_without_a_query(zones, learned,
                                                                    asked, rcode):
-    network, victim = _victim(zones)
+    network, victim = _gap_victim(zones)
     learned_at = network.clock()
     first = victim.resolve_name(_name(learned[0]), learned[1], do=True)
     assert "ad" in first.flags
@@ -108,7 +94,7 @@ def test_a_name_inside_a_validated_gap_is_answered_without_a_query(zones, learne
 
     query = make_query(_name(asked[0]), asked[1], edns=Edns(do=True))
     authority = answer_authoritative(query, [zones[0]])
-    _, fresh_victim = _victim(zones)
+    _, fresh_victim = _gap_victim(zones)
     fresh = fresh_victim.resolve_name(_name(asked[0]), asked[1], do=True)
     assert synthesized.rcode == authority.rcode == fresh.rcode == rcode
     assert synthesized.flags == fresh.flags and "ad" in synthesized.flags
@@ -140,7 +126,7 @@ def _expire(network, victim):
         "cname-owner", "expired", "cleared"])
 def test_no_answer_is_synthesized_where_the_gap_does_not_apply(zones, validation, learned,
                                                                asked, between):
-    network, victim = _victim(zones, validation)
+    network, victim = _gap_victim(zones, validation)
     first = victim.resolve_name(_name(learned[0]), learned[1], do=True)
     assert first.rcode in (Rcode.NOERROR, Rcode.NXDOMAIN)
     network.advance(LATER)
@@ -163,7 +149,7 @@ def test_a_bogus_proof_stores_no_gap(zones):
                 reply.authority[i] = replace(record, rdata=replace(record.rdata,
                                                                    signature=signature))
 
-    network, victim = _victim(zones, tamper=corrupt)
+    network, victim = _gap_victim(zones, tamper=corrupt)
     assert victim.resolve_name(_name("nowhere"), do=True).rcode == Rcode.SERVFAIL
     sent = network.transactions
     reply = victim.resolve_name(_name("nobody"), do=True)
@@ -178,7 +164,7 @@ def test_a_gap_lives_no_longer_than_its_nsec_ttl(zones):
         reply.authority[:] = [replace(r, ttl=60) if r.rtype == RType.NSEC else r
                               for r in reply.authority]
 
-    network, victim = _victim(zones, tamper=short_nsec)
+    network, victim = _gap_victim(zones, tamper=short_nsec)
     victim.resolve_name(_name("nowhere"), do=True)
     network.advance(61)
     sent = network.transactions
@@ -192,7 +178,7 @@ def test_the_gap_index_never_exceeds_the_cache_capacity(zones):
     """Four distinct gaps through a cache of two: the index holds at most
     two, the latest one still answers, and the first one learned is gone."""
     cache = Cache(capacity=2)
-    network, victim = _victim(zones, cache=cache)
+    network, victim = _gap_victim(zones, cache=cache)
     for learned in ("nowhere", "a", "ns3", "zz"):
         assert victim.resolve_name(_name(learned), do=True).rcode == Rcode.NXDOMAIN
         assert len(cache._gaps) <= cache.capacity

@@ -1,9 +1,10 @@
 """Every cache entry is made under one lifetime rule.
 
-`RecursiveResolver._cache_response` caps what it stores by the RRSIG
-lifetimes, the SOA and `MAX_CACHE_TTL`; `_cache_referral` caps referral NS
-and glue by `MAX_CACHE_TTL`. The DNSKEY and DS RRsets a validating walk
-verified go through `_cache_response` too. So `self.cache.put(` appears in
+`RecursiveResolver._cache_response` makes the entry of every final reply,
+Secure or not, from the validator's pick of it, and caps what it stores by
+the RRSIG lifetimes, the SOA and `MAX_CACHE_TTL`; `_cache_referral` caps
+referral NS and glue by `MAX_CACHE_TTL`. The DNSKEY and DS RRsets a
+validating walk verified go through `_cache_response` too. So `self.cache.put(` appears in
 `src/` only inside those two methods: a third call site could store an entry
 past the caps without any lifetime test noticing. The validated NSEC gaps
 that answer later lookups (RFC 8198) live no longer than the Secure negative

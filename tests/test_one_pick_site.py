@@ -1,11 +1,11 @@
-"""Only the validator picks out the records a Secure reply is served with.
+"""Only the validator picks out the records of a reply.
 
-`validate_chain` returns the records it verified in its `ValidationOutcome`,
-and the resolver serves and caches those as they are. So in `resolver.py`,
-`records_of` and `rrsigs_covering` appear only inside
-`RecursiveResolver._cache_response`, which groups a reply into RRsets with
-the RRSIGs over each: a second search anywhere else could pick records the
-walk never verified, or find again what it already found."""
+`validator.pick` is the one rule for the records that answer a question:
+`validate_chain` verifies exactly what it picks, and the resolver caches and
+serves a Secure outcome's records as they are and every other reply's pick,
+unverified. So `records_of` and `rrsigs_covering` appear nowhere in
+`resolver.py`: a second search there could admit records no pick chose,
+such as an RRset chained onto the reply for a name nobody asked about."""
 
 import ast
 from pathlib import Path
@@ -14,7 +14,6 @@ import pytest
 
 RESOLVER = Path(__file__).resolve().parents[1] / "src" / "dnsseclab" / "resolver.py"
 PICKERS = {"records_of", "rrsigs_covering"}
-ALLOWED_SCOPE = "RecursiveResolver._cache_response"
 
 
 def _scoped_nodes(tree):
@@ -40,16 +39,17 @@ def _picker(node) -> str | None:
 
 def stray_picks(source: str) -> list[tuple[str, int]]:
     """(enclosing scope, line) of each use of `records_of` or
-    `rrsigs_covering` outside `_cache_response`."""
+    `rrsigs_covering`."""
     return [(scope, node.lineno) for scope, node in _scoped_nodes(ast.parse(source))
-            if _picker(node) and scope != ALLOWED_SCOPE]
+            if _picker(node)]
 
 
 @pytest.mark.parametrize("source, expected", [
     ("class RecursiveResolver:\n    def _cache_response(self, msg):\n"
-     "        rrsigs_covering(msg.answers, 1, 2)\n", []),
+     "        rrsigs_covering(msg.answers, 1, 2)\n",
+     [("RecursiveResolver._cache_response", 3)]),
     ("class RecursiveResolver:\n    def _cache_response(self, msg):\n"
-     "        msg.records_of(1, 2)\n", []),
+     "        msg.records_of(1, 2)\n", [("RecursiveResolver._cache_response", 3)]),
     ("from .records import rrsigs_covering\n", []),
     ("class RecursiveResolver:\n    def _resolve_upstream(self, msg):\n"
      "        msg.records_of(1, 2)\n", [("RecursiveResolver._resolve_upstream", 3)]),

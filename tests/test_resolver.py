@@ -8,7 +8,8 @@ import pytest
 
 from dnsseclab import message
 from dnsseclab.keystore import TrustAnchor
-from dnsseclab.message import DnsMessage, Edns, Rcode, decode_message, encode_message, make_query
+from dnsseclab.message import (DnsMessage, Edns, Rcode, decode_message, encode_message,
+                               make_query, make_reply)
 from dnsseclab.names import ROOT, DnsName
 from dnsseclab.netsim import NO_GUESSES, PortPolicy, SimNetwork, SimTransport
 from dnsseclab.records import ARdata, NsRdata, ResourceRecord, RRset, RType
@@ -19,7 +20,7 @@ from dnsseclab.server import (AuthoritativeService, DnsServer, GatewayService,
                               answer_authoritative, encode_with_limit,
                               udp_limit_for)
 from dnsseclab.transport import SocketTransport, Timeout, Transport, TransportError
-from dnsseclab.validator import Denial, Security, check_denial, nsec_witnesses
+from dnsseclab.validator import Denial, Security, check_denial, pick
 
 from dnsseclab.zonefile import parse_zone_file
 
@@ -184,7 +185,7 @@ def test_nxdomain_carries_provable_nsec(signed_zone, zsk, ksk):
                                  [signed_zone.zone])
     assert reply.rcode == Rcode.NXDOMAIN
     assert any(r.rtype == RType.SOA for r in reply.authority)
-    outcome = check_denial(qname, RType.A, nsec_witnesses(reply),
+    outcome = check_denial(qname, RType.A, pick(reply, qname, RType.A).witnesses,
                            [zsk.public, ksk.public], FIXED_NOW)
     assert outcome.kind is Denial.NAME_DOES_NOT_EXIST
 
@@ -194,7 +195,7 @@ def test_nodata_carries_type_denial(signed_zone, zsk, ksk):
     reply = answer_authoritative(make_query(qname, RType.MX, edns=Edns(do=True)),
                                  [signed_zone.zone])
     assert reply.rcode == Rcode.NOERROR and not reply.answers
-    outcome = check_denial(qname, RType.MX, nsec_witnesses(reply),
+    outcome = check_denial(qname, RType.MX, pick(reply, qname, RType.MX).witnesses,
                            [zsk.public, ksk.public], FIXED_NOW)
     assert outcome.kind is Denial.TYPE_DOES_NOT_EXIST
 
@@ -555,7 +556,8 @@ def test_cached_reply_matches_the_fresh_one(signed_zone, parent_zone_signed, ksk
                                             name, qtype, rcode, plain_types,
                                             dnssec_types, do, validation):
     """Without DO a client sees DNSSEC records only of the type it asked for
-    (`plain_types`); DO adds `dnssec_types`. A cache hit answers alike."""
+    (`plain_types`); DO adds `dnssec_types`. A cache hit answers alike, TTLs
+    included: the fresh reply is served from the entry it made."""
     net = build_hierarchy(signed_zone, parent_zone_signed)
     resolver = make_victim(net, dnssec=validation,
                            anchors=[TrustAnchor(APEX, ksk.public)])
@@ -570,10 +572,32 @@ def test_cached_reply_matches_the_fresh_one(signed_zone, parent_zone_signed, ksk
 
     def seen(reply):
         return (reply.rcode, reply.flags,
-                [(r.owner, r.rtype, r.rclass, r.rdata) for r in reply.answers],
-                [(r.owner, r.rtype, r.rclass, r.rdata) for r in reply.authority])
+                [(r.owner, r.rtype, r.rclass, r.rdata, r.ttl) for r in reply.answers],
+                [(r.owner, r.rtype, r.rclass, r.rdata, r.ttl) for r in reply.authority])
 
     assert seen(cached) == seen(fresh)
+
+
+def test_a_refused_reply_is_served_with_its_rcode_and_not_cached():
+    """A final reply whose rcode is neither NOERROR nor NXDOMAIN reaches the
+    client with that rcode and no records, and the next lookup asks again."""
+    net = SimNetwork(seed=1)
+
+    def refuse(wire, via_tcp):
+        query = decode_message(wire)
+        reply = make_reply(query, "aa", rcode=Rcode.REFUSED)
+        reply.answers.append(ResourceRecord(query.question.name, RType.A, 1, 300,
+                                            ARdata("203.0.113.99")))
+        return encode_message(reply)
+
+    net.register(ROOT_ADDR, refuse)
+    resolver = make_victim(net)
+    for _ in range(2):
+        sent = net.transactions
+        reply = resolver.resolve_name(WWW, RType.A)
+        assert net.transactions == sent + 1
+        assert reply.rcode == Rcode.REFUSED and not reply.answers and not reply.authority
+    assert len(resolver.cache) == 0
 
 
 def test_resolve_without_question_is_formerr():

@@ -11,7 +11,7 @@ from dnsseclab.records import (ARdata, ResourceRecord, RRset,
 from dnsseclab.server import answer_authoritative
 from dnsseclab.signer import SigningPolicy, make_ds, sign_rrset, sign_zone
 from dnsseclab.validator import (Denial, Reason, Security, SigCheck, ValidationOutcome,
-                                 nsec_witnesses, check_denial, match_ds, validate_chain,
+                                 check_denial, match_ds, pick, validate_chain,
                                  verify_rrsig)
 
 from dnsseclab.zonefile import parse_zone_file
@@ -114,7 +114,7 @@ def test_match_ds_inverse_and_perturbation(small_keys):
 def _witnesses_for(zone, qname, qtype=RType.A):
     reply = answer_authoritative(
         make_query(qname, qtype, edns=Edns(do=True)), [zone])
-    return nsec_witnesses(reply)
+    return pick(reply, qname, qtype).witnesses
 
 
 def test_denial_absent_name(three_owner_zone, small_keys):

@@ -7,7 +7,10 @@ as `records_of` gives them, then the RRSIGs over it; of a denial, the NSEC
 witnesses, the SOA RRset and the RRSIGs over them, in the reply's order;
 of each DNSKEY or DS reply the walk fetched, its RRset and RRSIGs. The
 `_only` and `_proven_authority` below are reference copies of that old
-selection, and every row must agree with them, tampered replies included."""
+selection, and every row must agree with them, tampered replies included.
+`_witnesses` is the old rule that paired every NSEC of the reply: the
+validator's pick keeps only those that own or cover the qname, and the
+authority sends no other."""
 
 from dataclasses import replace
 
@@ -20,11 +23,12 @@ from dnsseclab.records import (ARdata, NsecRdata, ResourceRecord, RType, rrsigs_
                                rtype_to_text)
 from dnsseclab.server import answer_authoritative
 from dnsseclab.signer import SigningPolicy, make_ds, sign_zone
-from dnsseclab.validator import Security, nsec_witnesses, validate_chain
+from dnsseclab.validator import Security, validate_chain
 from dnsseclab.zonefile import parse_zone_file
 
 from conftest import APEX, FIXED_NOW, MA, PARENT_TEXT, ZONE_TEXT, make_fetcher
-from test_nsec_gaps import LATER, _name, _victim, zones  # noqa: F401 (fixture)
+from hostile import untouched
+from test_nsec_gaps import LATER, _gap_victim, _name, zones  # noqa: F401 (fixture)
 
 #: The reference zone with the empty non-terminal `deep` of the gap tests.
 CHILD_TEXT = ZONE_TEXT + "x.deep\tIN\tA\t192.168.1.30\n"
@@ -38,6 +42,13 @@ def _only(msg, owner, rtype):
                                  *rrsigs_covering(msg.answers, owner, rtype)])
 
 
+def _witnesses(response):
+    """Reference copy: each NSEC of the authority section paired with each
+    RRSIG over it."""
+    return [(record, sig) for record in response.authority if record.rtype == RType.NSEC
+            for sig in rrsigs_covering(response.authority, record.owner, RType.NSEC)]
+
+
 def _soa_records(response):
     first = next((r for r in response.authority if r.rtype == RType.SOA), None)
     return [r for r in response.authority if r.rtype == RType.SOA
@@ -47,7 +58,7 @@ def _soa_records(response):
 def _proven_authority(response):
     """Reference copy: the NSEC witnesses, the SOA RRset and the RRSIGs over
     them, in the authority section's order."""
-    proven = {record for witness in nsec_witnesses(response) for record in witness}
+    proven = {record for witness in _witnesses(response) for record in witness}
     soa = _soa_records(response)
     if soa:
         proven.update(soa)
@@ -72,10 +83,6 @@ def signed_pair():
     parent = sign_zone(parent, *parent_keys, SigningPolicy(), FIXED_NOW).zone
     return ([parent, child], TrustAnchor(APEX, child_keys[1].public),
             TrustAnchor(MA, parent_keys[1].public))
-
-
-def _untouched(reply):
-    pass
 
 
 def _unsigned_rrset(reply):
@@ -107,7 +114,7 @@ def _bad_soa_rrsig(reply):
                            and r.rdata.type_covered == RType.SOA)
 
 
-TAMPERS = [_untouched, _unsigned_rrset, _class3_rrsig, _second_soa_owner, _unsigned_nsec,
+TAMPERS = [untouched, _unsigned_rrset, _class3_rrsig, _second_soa_owner, _unsigned_nsec,
            _bad_soa_rrsig]
 ASKED = [("www", RType.A), ("ftp", RType.A), ("nowhere", RType.A), ("www", RType.MX),
          ("deep", RType.A)]
@@ -146,7 +153,7 @@ def test_outcome_records_equal_the_old_selection(signed_pair, asked, tamper, cha
     else:
         assert outcome.answer == ()
         assert outcome.authority == tuple(_proven_authority(reply))
-        assert outcome.witnesses == tuple(nsec_witnesses(reply))
+        assert outcome.witnesses == tuple(_witnesses(reply))
     assert outcome.links == tuple((name, rtype, tuple(_only(msg, name, rtype).answers))
                                   for name, rtype, msg in fetched
                                   if msg.records_of(name, rtype))
@@ -169,7 +176,7 @@ def test_each_gap_keeps_the_old_proof(zones, asked, tamper):  # noqa: F811
         if (reply.question.name, reply.question.qtype) == (qname, asked[1]):
             replies.append(reply)
 
-    _, victim = _victim(zones, tamper=kept)
+    _, victim = _gap_victim(zones, tamper=kept)
     assert "ad" in victim.resolve_name(qname, asked[1], do=True).flags
     [reply] = replies
     proven = _proven_authority(reply)
@@ -188,7 +195,7 @@ def test_a_warm_lookup_finds_each_rrset_once(zones, monkeypatch, asked, calls): 
     """With the DNSKEY cached, the walk finds the DNSKEY RRset and the answer
     RRset (or, for NODATA, the absent type and the absent alias) once each;
     the resolver finds nothing again."""
-    network, victim = _victim(zones)
+    network, victim = _gap_victim(zones)
     assert "ad" in victim.resolve_name(_name("www"), RType.A, do=True).flags
     counted = []
     records_of = DnsMessage.records_of
@@ -207,7 +214,7 @@ def test_a_warm_lookup_finds_each_rrset_once(zones, monkeypatch, asked, calls): 
 def test_a_link_from_the_cache_is_not_stored_again(zones):  # noqa: F811
     """Only the links a walk fetched upstream are cached: putting back the
     DNSKEY RRset the walk got from the cache would extend its life."""
-    network, victim = _victim(zones)
+    network, victim = _gap_victim(zones)
     assert "ad" in victim.resolve_name(_name("www"), RType.A, do=True).flags
     key = (APEX, RType.DNSKEY, 1)
     stored = victim.cache.get(key, network.clock())
