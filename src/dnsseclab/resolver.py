@@ -9,10 +9,11 @@ and glue of the referrals a plain resolver follows are cached as they came.
 
 Each NSEC of a Secure outcome's `witnesses`, with its RRSIGs and the SOA, is
 also kept in a bounded index of the cache, per zone and in canonical order;
-a later lookup of a name inside such a gap is answered NXDOMAIN or NODATA
-with AD and sends nothing (RFC 8198 §5). Like `validator.check_denial`, this
-does not check that a wildcard at the closest encloser is denied (RFC 4035
-§5.4): wildcards are out of scope."""
+a later lookup of a name inside such a gap is answered with the rcode
+`validator.denied_rcode` proves, with AD, and sends nothing (RFC 8198 §5).
+Like `validator.check_denial`, this does not check that a wildcard at the
+closest encloser is denied (RFC 4035 §5.4): wildcards are out of scope.
+Only class IN is resolved; other classes are REFUSED."""
 
 from __future__ import annotations
 
@@ -26,9 +27,10 @@ from typing import Callable
 from .config import RootHints
 from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
-from .records import ResourceRecord, RRset, RType, group_rrsets, nsec_gap_covers
+from .records import ResourceRecord, RRset, RType, group_rrsets
 from .transport import Timeout, Transport, TransportError
-from .validator import FetchFailure, Picked, Security, SignatureMemo, pick, validate_chain
+from .validator import (FetchFailure, Picked, Security, SignatureMemo, denied_rcode, pick,
+                        validate_chain)
 
 MAX_NEGATIVE_TTL = 3600
 #: The longest any entry is cached, whatever its TTL (RFC 8767 §4: 7 days).
@@ -36,8 +38,6 @@ MAX_CACHE_TTL = 7 * 86400
 HOP_LIMIT = 16
 #: Types a client without the DO bit sees only when it asked for them.
 _DNSSEC_TYPES = (RType.RRSIG, RType.NSEC, RType.DNSKEY)
-#: RFC 6672; no gap is synthesized at or below a DNAME owner.
-_DNAME = 39
 
 
 class ResolutionError(Exception):
@@ -252,9 +252,13 @@ class RecursiveResolver:
         if q is None:
             return make_reply(query, "ra", rcode=Rcode.FORMERR)
         now = self.clock()
-        entry = self.cache.get((q.name, q.qtype, q.qclass), now)
-        if entry is None and self.config.dnssec_enabled and q.qclass == 1:
-            entry = self._synthesized(q.name, q.qtype, now)
+        if q.qclass != 1:  # only class IN is resolved; nothing else is looked up
+            entry = CacheEntry(key=(q.name, q.qtype, q.qclass), rrset=None,
+                               negative=DnsMessage(rcode=Rcode.REFUSED))
+        else:
+            entry = self.cache.get((q.name, q.qtype, 1), now)
+            if entry is None and self.config.dnssec_enabled:
+                entry = self._synthesized(q.name, q.qtype, now)
         if entry is None:
             try:
                 entry = self._resolve_upstream(q.name, q.qtype, now)
@@ -271,28 +275,13 @@ class RecursiveResolver:
     # -- internals ---------------------------------------------------------
 
     def _synthesized(self, qname: DnsName, qtype: int, now: float) -> CacheEntry | None:
-        """A negative entry from a validated NSEC gap (RFC 8198 §5), by the
-        rcode rule of `validator._fits_rcode`: NXDOMAIN when the gap covers
-        the qname, NODATA when the qname owns the NSEC and neither the qtype
-        nor CNAME is in its bitmap, or when the gap's next name lies below
-        the qname (an empty non-terminal). None at or below a delegation or
-        DNAME, and for DS at an NSEC owner: those go upstream."""
+        """A negative entry from a validated NSEC gap (RFC 8198 §5) with the
+        rcode `validator.denied_rcode` proves; None where it proves nothing."""
         gap = self.cache.gap(qname, now)
         if gap is None:
             return None
-        owner, nsec = gap.rrset.owner, gap.rrset.rdatas[0]
-        types = nsec.type_bitmap
-        if qname.is_subdomain_of(owner) and (
-                _DNAME in types or (RType.NS in types and RType.SOA not in types)):
-            return None
-        if owner == qname:
-            if qtype in types or qtype == RType.DS or RType.CNAME in types:
-                return None
-            rcode = Rcode.NOERROR
-        elif nsec_gap_covers(owner.canonical_key(), nsec.next_name.canonical_key(),
-                             qname.canonical_key()):
-            rcode = Rcode.NOERROR if nsec.next_name.is_subdomain_of(qname) else Rcode.NXDOMAIN
-        else:
+        rcode = denied_rcode(gap.rrset.owner, gap.rrset.rdatas[0], qname, qtype)
+        if rcode is None:
             return None
         return replace(gap, key=(qname, qtype, 1),
                        negative=replace(gap.negative, rcode=rcode))

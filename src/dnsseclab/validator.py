@@ -15,10 +15,10 @@ A `SignatureMemo` remembers the signature checks that passed; a
 passes it down the walk. Only `verify_rrsig` reads or writes it, and only
 after the key tag, algorithm, type, owner, label count and validity window
 have been checked, so a remembered pass never outlives its RRSIG. Failed
-checks are never remembered. A negative answer is Secure only when its
-proven denial fits its rcode: NXDOMAIN needs the name shown absent, NOERROR
-the type, or an empty non-terminal (a covering NSEC whose next name lies
-below the qname); and the SOA it carries must verify like any other RRset.
+checks are never remembered. `denied_rcode` is the one rule for what a
+verified NSEC proves; `check_denial` and the resolver's answers from NSEC
+gaps use it, and a negative answer is Secure only when the rcode it proves
+is the response's and the SOA it carries verifies like any other RRset.
 
 The walk gets each DNSKEY and DS RRset through its `fetch` callback, and
 checks it against the anchor or DS however it came: a `RecursiveResolver`
@@ -51,13 +51,15 @@ from . import rsa
 from .keystore import ALGORITHMS, TrustAnchor, decode_rsa_public
 from .message import DnsMessage, Rcode
 from .names import DnsName
-from .records import (DnskeyRdata, DsRdata, ResourceRecord, RRset, RrsigRdata,
+from .records import (DnskeyRdata, DsRdata, NsecRdata, ResourceRecord, RRset, RrsigRdata,
                       RType, canonical_rrset_bytes, nsec_gap_covers, rrsigs_covering)
 
 DS_DIGESTS = {1: "sha1", 2: "sha256"}
 #: Most passed checks a `SignatureMemo` holds: as many as a resolver's
 #: default cache holds entries.
 MEMO_CAPACITY = 4096
+#: RFC 6672; an NSEC proves nothing below a DNAME owner.
+_DNAME = 39
 
 
 class UnsupportedDigest(ValueError):
@@ -140,6 +142,7 @@ class ValidationOutcome:
 class DenialOutcome:
     kind: Denial
     witness: tuple = ()
+    rcode: int | None = None  # what the witness proves, by `denied_rcode`
 
 
 # ---------------------------------------------------------------------------
@@ -256,35 +259,54 @@ def match_ds(ds: DsRdata, key: DnskeyRdata, owner: DnsName) -> bool:
 # Denial of existence
 # ---------------------------------------------------------------------------
 
+def denied_rcode(owner: DnsName, nsec: NsecRdata, qname: DnsName, qtype: int) -> int | None:
+    """What a verified NSEC at `owner` proves about (qname, qtype), or None.
+
+    At its owner, NOERROR unless the bitmap holds the type or CNAME; but a
+    delegation's NSEC (NS without SOA) proves only DS absent, an apex NSEC
+    never. Below a delegation or DNAME owner, nothing (RFC 4035 §5.4, RFC
+    6840 §4.1). A gap that covers the qname, NXDOMAIN, or NOERROR when the
+    next name lies below it (an empty non-terminal)."""
+    types = nsec.type_bitmap
+    delegation = RType.NS in types and RType.SOA not in types
+    if owner == qname:
+        if qtype in types or RType.CNAME in types or (
+                RType.SOA in types if qtype == RType.DS else delegation):
+            return None
+        return Rcode.NOERROR
+    if qname.is_subdomain_of(owner) and (delegation or _DNAME in types):
+        return None
+    if not nsec_gap_covers(owner.canonical_key(), nsec.next_name.canonical_key(),
+                           qname.canonical_key()):
+        return None
+    return Rcode.NOERROR if nsec.next_name.is_subdomain_of(qname) else Rcode.NXDOMAIN
+
+
 def check_denial(qname: DnsName, qtype: int,
                  nsec_witnesses: list[tuple[ResourceRecord, ResourceRecord]],
                  zone_keys: Sequence[DnskeyRdata], now: int,
                  memo: SignatureMemo | None = None) -> DenialOutcome:
     """Decide what validly signed NSEC witnesses prove about (qname, qtype).
 
-    Every witness signature must verify; then either the name is shown absent
-    (it sorts inside a witness gap) or the type is shown absent (exact owner
-    match with the type bit clear).
+    Every witness signature must verify; then the qname's own NSEC, else the
+    first witness, proves by `denied_rcode` the type absent (at the owner) or
+    the name absent (a gap that covers it), with the rcode it proves.
     """
-    verified = []
+    witness = None
     for nsec_record, sig_record in nsec_witnesses:
         rrset = RRset(nsec_record.owner, RType.NSEC, nsec_record.rclass,
                       nsec_record.ttl, (nsec_record.rdata,))
         result, _ = verify_with_any(rrset, [sig_record.rdata], zone_keys, now, memo)
         if result is not SigCheck.VALID:
             return DenialOutcome(Denial.INVALID_PROOF, (nsec_record,))
-        verified.append(nsec_record)
-    for nsec_record in verified:
-        if nsec_record.owner == qname:
-            if qtype not in nsec_record.rdata.type_bitmap:
-                return DenialOutcome(Denial.TYPE_DOES_NOT_EXIST, (nsec_record,))
-            return DenialOutcome(Denial.NO_PROOF, (nsec_record,))
-    key = qname.canonical_key()
-    for nsec_record in verified:
-        if nsec_gap_covers(nsec_record.owner.canonical_key(),
-                           nsec_record.rdata.next_name.canonical_key(), key):
-            return DenialOutcome(Denial.NAME_DOES_NOT_EXIST, (nsec_record,))
-    return DenialOutcome(Denial.NO_PROOF)
+        if witness is None or (nsec_record.owner == qname and witness.owner != qname):
+            witness = nsec_record
+    if witness is None:
+        return DenialOutcome(Denial.NO_PROOF)
+    rcode = denied_rcode(witness.owner, witness.rdata, qname, qtype)
+    kind = (Denial.NO_PROOF if rcode is None else Denial.TYPE_DOES_NOT_EXIST
+            if witness.owner == qname else Denial.NAME_DOES_NOT_EXIST)
+    return DenialOutcome(kind, (witness,), rcode)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +327,6 @@ _SIG_REASONS = {SigCheck.WRONG_KEY: Reason.MISSING_DNSKEY,
                 SigCheck.NOT_YET_VALID: Reason.NOT_YET_VALID,
                 SigCheck.EXPIRED: Reason.EXPIRED,
                 SigCheck.BAD_SIGNATURE: Reason.BAD_SIGNATURE}
-_PROVEN = (Denial.NAME_DOES_NOT_EXIST, Denial.TYPE_DOES_NOT_EXIST)
 
 
 def _closest_anchor(qname: DnsName, anchors: list[TrustAnchor]) -> TrustAnchor | None:
@@ -432,15 +453,15 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
             # delegation (then insecure) or no cut at all (then keep walking).
             denial = check_denial(child, RType.DS, pick(ds_msg, child, RType.DS).witnesses,
                                   keys, now, memo)
-            if denial.kind not in _PROVEN:
+            if denial.rcode is None:
                 raise _Bogus(Reason.MISSING_DS_PROOF)
             if (denial.kind is Denial.TYPE_DOES_NOT_EXIST
                     and RType.NS in denial.witness[0].rdata.type_bitmap):
                 return ValidationOutcome(Security.INSECURE, Reason.UNSIGNED_DELEGATION,
                                          tuple(chain))
-        # The picked answer RRset; else a denial that fits the rcode, and its SOA.
-        if not picked.answer and not _fits_rcode(response.rcode, qname, check_denial(
-                qname, qtype, picked.witnesses, keys, now, memo)):
+        # The picked answer RRset; else a denial of the response's rcode, and its SOA.
+        if not picked.answer and check_denial(qname, qtype, picked.witnesses, keys, now,
+                                              memo).rcode != response.rcode:
             raise _Bogus(Reason.INVALID_DENIAL)
         section = picked.answer or picked.authority
         rtype = picked.answer[0].rtype if picked.answer else RType.SOA
@@ -451,15 +472,3 @@ def validate_chain(response: DnsMessage, qname: DnsName, qtype: int,
         return ValidationOutcome(Security.BOGUS, bogus.reason, tuple(chain))
     return ValidationOutcome(Security.SECURE, None, tuple(chain), *picked, tuple(links))
 
-
-def _fits_rcode(rcode: int, qname: DnsName, denial: DenialOutcome) -> bool:
-    """Whether a denial proves what the response's rcode says: NXDOMAIN needs
-    the name shown absent, NOERROR the type shown absent or an empty
-    non-terminal, whose covering NSEC's next name lies below the qname."""
-    if denial.kind is Denial.TYPE_DOES_NOT_EXIST:
-        return rcode == Rcode.NOERROR
-    if denial.kind is not Denial.NAME_DOES_NOT_EXIST:
-        return False
-    # The gap covers qname, so its next name is not qname itself.
-    empty_non_terminal = denial.witness[0].rdata.next_name.is_subdomain_of(qname)
-    return rcode == (Rcode.NOERROR if empty_non_terminal else Rcode.NXDOMAIN)

@@ -5,10 +5,11 @@ answer, with their RRSIGs and the SOA, and answers a later lookup of a name
 inside one of those gaps itself: NXDOMAIN when the gap covers the name,
 NODATA when the name owns the NSEC without the type, or when the gap's next
 name lies below it (an empty non-terminal), always with AD and no upstream
-query. The table learns one proof, then asks for another name: a
-synthesized reply equals the authority's in rcode and in its NSEC and SOA
-records, carries AD like a fresh validated reply, and no TTL in it outlives
-the gap. Every other row must go upstream."""
+query; a delegation's own NSEC denies only its DS. The table learns one
+proof, then asks for another name: a synthesized reply equals the
+authority's in rcode and in its NSEC and SOA records, carries AD like a
+fresh validated reply, and no TTL in it outlives the gap. Every other row
+must go upstream."""
 
 import sys
 import threading
@@ -27,16 +28,12 @@ from dnsseclab.signer import SigningPolicy, sign_zone
 from dnsseclab.zonefile import parse_zone_file
 
 from conftest import APEX, FIXED_NOW, ZONE_TEXT
-from hostile import hostile_victim
+from hostile import SUB, SUB_AUTHORITY, SUB_TEXT as CHILD_TEXT, hostile_victim
 
-SUB = DnsName.from_text("sub.domaine.ma.")
-SUB_AUTHORITY = "192.168.1.40"
 #: The reference zone with an empty non-terminal (`deep`) and an unsigned
 #: delegation (`sub`, no DS) to a child that is signed but has no anchor.
 PARENT_TEXT = ZONE_TEXT + ("x.deep\tIN\tA\t192.168.1.30\n"
                            "sub\tIN\tNS\tns.sub\nns.sub\tIN\tA\t192.168.1.40\n")
-CHILD_TEXT = ("$TTL 3600\n@ IN SOA ns hostmaster 1 3600 900 604800 3600\n"
-              "@ IN NS ns\nns IN A 192.168.1.40\nwww IN A 192.168.1.41\n")
 #: Seconds between learning a proof and asking the next name.
 LATER = 1000
 
@@ -80,7 +77,9 @@ def _proof(reply):
     (("www", RType.MX), ("www", RType.TXT), Rcode.NOERROR),
     (("a", RType.A), ("deep", RType.A), Rcode.NOERROR),
     (("a", RType.A), ("c", RType.TXT), Rcode.NXDOMAIN),
-], ids=["nxdomain", "nodata", "empty-non-terminal", "nxdomain-other-type"])
+    (("t", RType.A), ("sub", RType.DS), Rcode.NOERROR),
+], ids=["nxdomain", "nodata", "empty-non-terminal", "nxdomain-other-type",
+        "ds-at-delegation"])
 def test_a_name_inside_a_validated_gap_is_answered_without_a_query(zones, learned,
                                                                    asked, rcode):
     network, victim = _gap_victim(zones)

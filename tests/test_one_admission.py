@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from dnsseclab.keystore import TrustAnchor
+from dnsseclab.message import Edns, Question, Rcode, make_query
 from dnsseclab.names import DnsName
 from dnsseclab.records import ARdata, ResourceRecord, RType
 from dnsseclab.resolver import MAX_CACHE_TTL, MAX_NEGATIVE_TTL
@@ -119,3 +120,23 @@ def test_a_tampered_reply_is_served_and_cached_as_the_genuine_one(victims, kind,
     if tamper is _padded:
         [entry] = [e for e in entries if e.key == (NOWHERE, RType.A, 1)]
         assert len(fresh.authority) == len(entry.negative.authority) <= 4
+
+
+@pytest.mark.parametrize("kind", ["plain", "secure", "insecure"])
+def test_a_query_of_another_class_is_refused_without_a_lookup(victims, kind):
+    """Only class IN is resolved: a class-3 (CH) question is REFUSED before
+    the cache or any upstream query, even after the class-IN lookup of the
+    same name and type."""
+    zone, anchor, below = victims[kind]
+    network, victim = hostile_victim(zone, anchor=anchor, below=below)
+    chaos = replace(make_query(WWW, RType.A, id=7, rd=True, edns=Edns(do=True)),
+                    questions=[Question(WWW, RType.A, 3)])
+    for _ in range(2):
+        reply = victim.resolve(chaos)
+        assert (reply.rcode, reply.answers, reply.authority) == (Rcode.REFUSED, [], [])
+        assert "ad" not in reply.flags
+        assert network.transactions == 0 and victim.cache.entries() == []
+    assert victim.resolve_name(WWW, do=True).answers
+    sent = network.transactions
+    assert victim.resolve(chaos).rcode == Rcode.REFUSED
+    assert network.transactions == sent

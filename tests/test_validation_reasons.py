@@ -4,7 +4,8 @@ A row pins the outcome's status, reason and chain, and the (name, type)
 sequence the walk fetched. Failures are planted in the response or in the
 replies the fetch callback returns: a wrong anchor key, a tampered RRSIG, a
 DS reply stripped of its records, a clock outside the signature window, an
-rcode rewritten over a valid denial."""
+rcode rewritten over a valid denial, a real signed NSEC replayed where it
+proves nothing (`hostile.FORGED_DENIALS`)."""
 
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -21,6 +22,7 @@ from dnsseclab.validator import Reason, Security, validate_chain
 from dnsseclab.zonefile import parse_zone_file
 
 from conftest import APEX, FIXED_NOW, MA, make_fetcher
+from hostile import FORGED_DENIALS, forged_denial, signed_delegation
 
 POLICY = SigningPolicy()
 WWW = DnsName.from_text("www.domaine.ma.")
@@ -72,7 +74,10 @@ def world(signed_zone, parent_zone_signed, ksk, parent_ksk):
     rogue = sign_zone(parse_zone_file(
         "$TTL 3600\n@ IN SOA ns admin 1 3600 900 604800 3600\nwww IN A 10.9.9.9\n",
         APEX), *rogue_keys, POLICY, FIXED_NOW).zone
+    delegating, _, delegating_anchor = signed_delegation()
     return {
+        "delegating": delegating,
+        "delegating_ksk": delegating_anchor.dnskey,
         "child": signed_zone.zone,
         "parent": parent_zone_signed.zone,
         "rogue": rogue,
@@ -187,6 +192,14 @@ def _unsigned_delegation(w):
                  [w["plain_parent"], w["plain"]])
 
 
+def _forged(case):
+    def build(w):
+        qname, qtype, response = forged_denial(w["delegating"], case)
+        return Setup(response, qname, [TrustAnchor(APEX, w["delegating_ksk"])],
+                     [w["delegating"]], qtype=qtype)
+    return build
+
+
 SECURE, INSECURE, BOGUS = Security.SECURE, Security.INSECURE, Security.BOGUS
 ANCHOR = (("ma.", DNSKEY),)
 DESCENT = ANCHOR + (("domaine.ma.", DS),)
@@ -230,6 +243,9 @@ CASES = {
     "invalid-denial-noerror-over-nxdomain": (_noerror_over_nxdomain_proof, BOGUS,
                                              Reason.INVALID_DENIAL,
                                              (("domaine.ma.", "ksk"),), CHILD_ONLY),
+    **{f"invalid-denial-{case}": (_forged(case), BOGUS, Reason.INVALID_DENIAL,
+                                  (("domaine.ma.", "delegating_ksk"),), CHILD_ONLY)
+       for case in FORGED_DENIALS},
     "unsigned-delegation": (_unsigned_delegation, INSECURE, Reason.UNSIGNED_DELEGATION,
                             (("ma.", "small_ksk"),), ANCHOR + (("plain.ma.", DS),)),
 }

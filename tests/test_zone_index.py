@@ -4,7 +4,9 @@
 reference functions below are the straight scans over `zone.records`, kept
 only here. Generated signed zones (nested names, delegations with glue at
 and below the cut, DS at some cuts) must give the same answers both ways,
-for names at, before, after, between and below the owners."""
+for names at, before, after, between and below the owners. The covering
+NSEC must prove by `validator.denied_rcode` exactly the authority's negative
+answers, and nothing where it answers with data, a CNAME or a referral."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +17,7 @@ from dnsseclab.names import DnsName, canonical_compare
 from dnsseclab.records import ARdata, DsRdata, NsRdata, ResourceRecord, RType, rrsigs_covering
 from dnsseclab.server import answer_authoritative
 from dnsseclab.signer import SigningPolicy, sign_zone
+from dnsseclab.validator import denied_rcode
 from dnsseclab.zonefile import parse_zone_file
 
 from conftest import FIXED_NOW
@@ -192,7 +195,26 @@ def test_indexed_lookups_match_linear_scans(text):
             assert list(zone.rrsigs_at(name, qtype)) == ref_sigs(zone, name, qtype)
             for do in (False, True):
                 query = make_query(name, qtype, id=7, edns=Edns(do=do))
-                assert answer_authoritative(query, [zone]) == ref_answer(query, zone), (name, qtype, do)
+                reply = answer_authoritative(query, [zone])
+                assert reply == ref_answer(query, zone), (name, qtype, do)
+            if reply.rcode != Rcode.REFUSED:
+                assert denied_by_rule(zone, name, qtype) == negative_rcode(zone, reply), (name, qtype)
+
+
+def denied_by_rule(zone, name, qtype):
+    nsec = zone.covering_nsec(name)
+    return None if nsec is None else denied_rcode(nsec.owner, nsec.rdata, name, qtype)
+
+
+def negative_rcode(zone, reply):
+    """The rcode of an authoritative negative answer, else None. The DS at
+    the apex is the parent's to deny, and an occluded name's data is not the
+    zone's: neither answer is a proof an NSEC could give."""
+    q = reply.question
+    if "aa" not in reply.flags or reply.answers or zone.is_glue(q.name) \
+            or (q.name, q.qtype) == (zone.apex, RType.DS):
+        return None
+    return reply.rcode
 
 
 @pytest.mark.parametrize("zone_fixture", ["signed_zone", "parent_zone_signed"])
