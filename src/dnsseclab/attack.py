@@ -211,7 +211,7 @@ def build_lab(cfg: AttackConfig, zone: Zone,
                        space=cfg.port_space)
     transport = SimTransport(network, VICTIM_ADDRESS, ports)
     victim = RecursiveResolver(
-        hints=[AUTHORITY_ADDRESS], transport=transport, cache=Cache(),
+        hint_addresses=[AUTHORITY_ADDRESS], transport=transport, cache=Cache(),
         config=ResolverConfig(dnssec_enabled=cfg.validation,
                               anchors=tuple(anchors)),
         clock=network.clock)

@@ -218,7 +218,7 @@ def build_service(config, transport=None, clock=time.time) -> GatewayService:
     if config.recursion_enabled:
         if config.root_hints_path is None:
             raise ConfigError("recursion yes needs a root-hints file")
-        hints = load_root_hints(config.root_hints_path)
+        hint_addresses = load_root_hints(config.root_hints_path).addresses()
         anchors = ()
         if config.dnssec_enabled:
             anchor_path = config.trust_anchor_path
@@ -230,7 +230,7 @@ def build_service(config, transport=None, clock=time.time) -> GatewayService:
             transport = SocketTransport(port=config.port,
                                         source_port=config.source_port)
         resolver = RecursiveResolver(
-            hints, transport, cache=Cache(),
+            hint_addresses, transport, cache=Cache(),
             config=ResolverConfig(dnssec_enabled=config.dnssec_enabled,
                                   anchors=anchors),
             clock=clock)

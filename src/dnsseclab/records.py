@@ -1,4 +1,11 @@
-"""Resource records, RRsets, and the canonical byte form signatures cover."""
+"""Resource records, RRsets, and the canonical byte form signatures cover.
+
+Each RDATA type is a frozen dataclass whose `FIELDS` gives the kind of each
+field in wire order: a name, an unsigned integer, a time, a type mnemonic, an
+IPv4 address, or a kind that takes the rest of the RDATA (base64, hex, an
+NSEC type bitmap, TXT strings). One codec, `Rdata`, reads, writes,
+canonicalises (only names are lowercased), prints and parses every type from
+that tuple; unknown types stay raw octets (`OpaqueRdata`)."""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .names import DnsName
 from .wire import read_exact, read_name, unpack_exact
@@ -57,9 +64,11 @@ class RdataError(ValueError):
 
 def _ip4_to_bytes(text: str) -> bytes:
     parts = text.split(".")
-    if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
-        raise RdataError(f"bad IPv4 address {text!r}")
-    return bytes(int(p) for p in parts)
+    if len(parts) == 4 and all(map(str.isdecimal, parts)):
+        octets = list(map(int, parts))
+        if max(octets) <= 255:
+            return bytes(octets)
+    raise RdataError(f"bad IPv4 address {text!r}")
 
 
 def timestamp_to_text(epoch: int) -> str:
@@ -128,88 +137,214 @@ def key_tag_from_rdata(rdata: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Field kinds
+# ---------------------------------------------------------------------------
+
+class FieldKind(NamedTuple):
+    """How one kind of RDATA field is read, written, printed and parsed.
+    `read(msg, offset, end, what)` returns the value and the offset past it,
+    reading nothing past `end` (`what` names the type in errors). A `rest`
+    kind takes the rest of the RDATA and the list of remaining tokens, so it
+    comes last. Only a name has a `canonical` form other than its wire form,
+    and only a name's `show` and `parse` take the origin as well."""
+    read: Callable
+    write: Callable
+    show: Callable
+    parse: Callable
+    rest: bool = False
+    canonical: Callable | None = None
+
+
+def _unsigned(code: str, show=str, parse=int) -> FieldKind:
+    """An unsigned integer in network order, of `struct` format `code`."""
+    fixed = struct.Struct(">" + code)
+
+    def read(msg, offset, end, what):
+        (value,) = unpack_exact(fixed, msg, offset, end, what)
+        return value, offset + fixed.size
+
+    return FieldKind(read, fixed.pack, show, parse)
+
+
+def _read_name(msg, offset, end, what):
+    return read_name(msg, offset, end)
+
+
+def _show_name(name, origin):
+    return name.relativize(origin) if origin else name.to_text()
+
+
+def _show_absolute_name(name, origin):
+    return name.to_text()
+
+
+def _read_ipv4(msg, offset, end, what):
+    return ".".join(map(str, read_exact(msg, offset, end, 4, what))), offset + 4
+
+
+def _octets(encode, decode) -> FieldKind:
+    """The rest of the RDATA as raw octets, printed by `encode` (to ASCII
+    octets) and parsed by `decode` from the joined tokens, of which there
+    must be at least one."""
+
+    def read(msg, offset, end, what):
+        return msg[offset:end], end
+
+    def show(data):
+        return encode(data).decode("ascii")
+
+    def parse(tokens):
+        if not tokens:
+            raise RdataError("the last field is missing")
+        return decode("".join(tokens))
+
+    return FieldKind(read, bytes, show, parse, rest=True)
+
+
+def _read_bitmap(msg, offset, end, what):
+    return decode_type_bitmap(msg[offset:end]), end
+
+
+def _write_bitmap(types):
+    return encode_type_bitmap(types)
+
+
+def _show_bitmap(types):
+    return " ".join(rtype_to_text(t) for t in sorted(types))
+
+
+def _parse_bitmap(tokens):
+    return frozenset(rtype_from_text(t) for t in tokens)
+
+
+def _read_strings(msg, offset, end, what):
+    strings = []
+    while offset < end:
+        length = msg[offset]
+        strings.append(read_exact(msg, offset + 1, end, length, f"{what} string"))
+        offset += 1 + length
+    return tuple(strings), offset
+
+
+def _write_strings(strings):
+    return b"".join(bytes((len(s),)) + s for s in strings)
+
+
+def _show_strings(strings):
+    return " ".join('"%s"' % s.decode("ascii", "replace").replace('"', '\\"')
+                    for s in strings)
+
+
+def _parse_strings(tokens):
+    return tuple(t.encode("ascii") for t in tokens)
+
+
+U8, U16, U32 = _unsigned("B"), _unsigned("H"), _unsigned("I")
+TIME = _unsigned("I", timestamp_to_text, timestamp_from_text)
+TYPE = _unsigned("H", rtype_to_text, rtype_from_text)
+NAME = FieldKind(_read_name, DnsName.to_wire, _show_name, DnsName.from_text,
+                 canonical=DnsName.canonical_wire)
+#: The RRSIG signer, printed absolute whatever the origin.
+SIGNER = NAME._replace(show=_show_absolute_name)
+IPV4 = FieldKind(_read_ipv4, _ip4_to_bytes, str, str)
+BASE64 = _octets(base64.b64encode, base64.b64decode)
+HEX = _octets(base64.b16encode, bytes.fromhex)
+BITMAP = FieldKind(_read_bitmap, _write_bitmap, _show_bitmap, _parse_bitmap, rest=True)
+STRINGS = FieldKind(_read_strings, _write_strings, _show_strings, _parse_strings, rest=True)
+
+
+# ---------------------------------------------------------------------------
 # Rdata types
 # ---------------------------------------------------------------------------
 
-_U16 = struct.Struct(">H")
-_SOA_TAIL = struct.Struct(">IIIII")
-_KEY_HEAD = struct.Struct(">HBB")  # DNSKEY flags/protocol/algorithm, DS tag/algorithm/type
-_RRSIG_HEAD = struct.Struct(">HBBIIIH")
+class Rdata:
+    """The one RDATA codec. Each subclass is a frozen dataclass of type
+    `RTYPE` whose `FIELDS` gives the kind of each of its fields, in order."""
 
+    def _fields(self):
+        """(kind, value) of each field, in wire order."""
+        # A dataclass's __match_args__ names its fields in declaration order.
+        return zip(self.FIELDS, [getattr(self, name) for name in self.__match_args__])
 
-class _WireOnce:
-    """RDATA whose wire form `_encode` computes once, on first use: zone
-    data is served again and again, and an RDATA never changes."""
+    @classmethod
+    def from_wire(cls, msg, offset, end):
+        values = []
+        for kind in cls.FIELDS:
+            value, offset = kind.read(msg, offset, end, cls.RTYPE.name)
+            values.append(value)
+        return cls(*values), offset
+
+    def _head(self, canonical: bool = False) -> bytes:
+        """The wire form, or the canonical one, of the fields before a
+        rest-of-RDATA field; names lie there, and only they differ."""
+        return b"".join([(kind.canonical if canonical and kind.canonical else kind.write)(value)
+                         for kind, value in self._fields() if not kind.rest])
+
+    @property
+    def _rest(self) -> bytes:
+        """The octets of the rest-of-RDATA field, if any."""
+        kind, value = self.FIELDS[-1], getattr(self, self.__match_args__[-1])
+        return kind.write(value) if kind.rest else b""
 
     @cached_property
     def _wire(self) -> bytes:
-        return self._encode()
+        return self._head() + self._rest
 
     def to_wire(self) -> bytes:
+        """The wire form, computed once, on first use: zone data is served
+        again and again, and an RDATA never changes."""
         return self._wire
+
+    def canonical_wire(self) -> bytes:
+        """The wire form with names lowercased (RFC 4034 §6.2); a type with
+        no name shares its wire form."""
+        if not any(kind.canonical for kind in self.FIELDS):
+            return self.to_wire()
+        return self._head(canonical=True) + self._rest
+
+    def to_text(self, origin=None) -> str:
+        return " ".join([kind.show(value, origin) if kind.canonical else kind.show(value)
+                         for kind, value in self._fields()])
+
+    @classmethod
+    def from_text(cls, tokens, origin):
+        kinds = cls.FIELDS
+        if kinds[-1].rest:  # the last field takes every remaining token
+            tokens = [*tokens[:len(kinds) - 1], tokens[len(kinds) - 1:]]
+        if len(tokens) != len(kinds):
+            raise RdataError(f"{cls.RTYPE.name} takes {len(kinds)} fields")
+        return cls(*[kind.parse(text, origin) if kind.canonical else kind.parse(text)
+                     for kind, text in zip(kinds, tokens)])
 
 
 @dataclass(frozen=True)
-class ARdata(_WireOnce):
+class ARdata(Rdata):
     RTYPE = RType.A
+    FIELDS = (IPV4,)
     address: str
 
     def __post_init__(self):
         _ip4_to_bytes(self.address)
 
-    def _encode(self) -> bytes:
-        return _ip4_to_bytes(self.address)
-
-    canonical_wire = _WireOnce.to_wire
-
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        return cls(".".join(map(str, read_exact(msg, offset, end, 4, "A")))), offset + 4
-
-    def to_text(self, origin=None) -> str:
-        return self.address
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        (address,) = tokens
-        return cls(address)
-
 
 @dataclass(frozen=True)
-class _SingleName(_WireOnce):
+class NsRdata(Rdata):
+    RTYPE = RType.NS
+    FIELDS = (NAME,)
     target: DnsName
 
-    def _encode(self) -> bytes:
-        return self.target.to_wire()
 
-    def canonical_wire(self) -> bytes:
-        return self.target.canonical_wire()
-
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        name, offset = read_name(msg, offset, end)
-        return cls(name), offset
-
-    def to_text(self, origin=None) -> str:
-        return self.target.relativize(origin) if origin else self.target.to_text()
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        (target,) = tokens
-        return cls(DnsName.from_text(target, origin))
-
-
-class NsRdata(_SingleName):
-    RTYPE = RType.NS
-
-
-class CnameRdata(_SingleName):
+@dataclass(frozen=True)
+class CnameRdata(Rdata):
     RTYPE = RType.CNAME
+    FIELDS = (NAME,)
+    target: DnsName
 
 
 @dataclass(frozen=True)
-class SoaRdata(_WireOnce):
+class SoaRdata(Rdata):
     RTYPE = RType.SOA
+    FIELDS = (NAME, NAME, U32, U32, U32, U32, U32)
     mname: DnsName
     rname: DnsName
     serial: int
@@ -218,134 +353,43 @@ class SoaRdata(_WireOnce):
     expire: int
     minimum: int
 
-    def _tail(self) -> bytes:
-        return _SOA_TAIL.pack(self.serial, self.refresh, self.retry, self.expire, self.minimum)
-
-    def _encode(self) -> bytes:
-        return self.mname.to_wire() + self.rname.to_wire() + self._tail()
-
-    def canonical_wire(self) -> bytes:
-        return self.mname.canonical_wire() + self.rname.canonical_wire() + self._tail()
-
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        mname, offset = read_name(msg, offset, end)
-        rname, offset = read_name(msg, offset, end)
-        fields = unpack_exact(_SOA_TAIL, msg, offset, end, "SOA")
-        return cls(mname, rname, *fields), offset + _SOA_TAIL.size
-
-    def to_text(self, origin=None) -> str:
-        names = (self.mname.relativize(origin), self.rname.relativize(origin)) \
-            if origin else (self.mname.to_text(), self.rname.to_text())
-        return "{} {} {} {} {} {} {}".format(*names, self.serial, self.refresh,
-                                             self.retry, self.expire, self.minimum)
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        mname, rname, *numbers = tokens
-        if len(numbers) != 5:
-            raise RdataError("SOA needs serial refresh retry expire minimum")
-        return cls(DnsName.from_text(mname, origin), DnsName.from_text(rname, origin),
-                   *(int(n) for n in numbers))
-
 
 @dataclass(frozen=True)
-class MxRdata(_WireOnce):
+class MxRdata(Rdata):
     RTYPE = RType.MX
+    FIELDS = (U16, NAME)
     preference: int
     exchange: DnsName
 
-    def _encode(self) -> bytes:
-        return _U16.pack(self.preference) + self.exchange.to_wire()
-
-    def canonical_wire(self) -> bytes:
-        return _U16.pack(self.preference) + self.exchange.canonical_wire()
-
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        (preference,) = unpack_exact(_U16, msg, offset, end, "MX")
-        exchange, offset = read_name(msg, offset + 2, end)
-        return cls(preference, exchange), offset
-
-    def to_text(self, origin=None) -> str:
-        name = self.exchange.relativize(origin) if origin else self.exchange.to_text()
-        return f"{self.preference} {name}"
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        preference, exchange = tokens
-        return cls(int(preference), DnsName.from_text(exchange, origin))
-
 
 @dataclass(frozen=True)
-class TxtRdata:
+class TxtRdata(Rdata):
     RTYPE = RType.TXT
+    FIELDS = (STRINGS,)
     strings: tuple[bytes, ...]
 
     def __post_init__(self):
         if not self.strings or any(len(s) > 255 for s in self.strings):
             raise RdataError("TXT needs 1+ strings of at most 255 octets")
 
-    def to_wire(self) -> bytes:
-        return b"".join(bytes((len(s),)) + s for s in self.strings)
-
-    canonical_wire = to_wire
-
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        strings = []
-        while offset < end:
-            length = msg[offset]
-            strings.append(read_exact(msg, offset + 1, end, length, "TXT string"))
-            offset += 1 + length
-        return cls(tuple(strings)), offset
-
-    def to_text(self, origin=None) -> str:
-        return " ".join('"%s"' % s.decode("ascii", "replace").replace('"', '\\"')
-                        for s in self.strings)
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        return cls(tuple(t.encode("ascii") for t in tokens))
-
 
 @dataclass(frozen=True)
-class DnskeyRdata(_WireOnce):
+class DnskeyRdata(Rdata):
     RTYPE = RType.DNSKEY
+    FIELDS = (U16, U8, U8, BASE64)
     flags: int
     protocol: int
     algorithm: int
     public_key: bytes
 
-    def _encode(self) -> bytes:
-        return _KEY_HEAD.pack(self.flags, self.protocol, self.algorithm) + self.public_key
-
-    canonical_wire = _WireOnce.to_wire
-
     def key_tag(self) -> int:
         return key_tag_from_rdata(self.to_wire())
 
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        head = unpack_exact(_KEY_HEAD, msg, offset, end, "DNSKEY")
-        return cls(*head, msg[offset + _KEY_HEAD.size : end]), end
-
-    def to_text(self, origin=None) -> str:
-        b64 = base64.b64encode(self.public_key).decode("ascii")
-        return f"{self.flags} {self.protocol} {self.algorithm} {b64}"
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        flags, protocol, algorithm, *key = tokens
-        if not key:
-            raise RdataError("DNSKEY is missing key material")
-        return cls(int(flags), int(protocol), int(algorithm),
-                   base64.b64decode("".join(key)))
-
 
 @dataclass(frozen=True)
-class RrsigRdata(_WireOnce):
+class RrsigRdata(Rdata):
     RTYPE = RType.RRSIG
+    FIELDS = (TYPE, U8, U8, U32, TIME, TIME, U16, SIGNER, BASE64)
     type_covered: int
     algorithm: int
     labels: int
@@ -356,80 +400,28 @@ class RrsigRdata(_WireOnce):
     signer_name: DnsName
     signature: bytes
 
-    def _head(self) -> bytes:
-        return _RRSIG_HEAD.pack(self.type_covered, self.algorithm, self.labels,
-                                self.original_ttl, self.expiration, self.inception, self.key_tag)
-
-    def _encode(self) -> bytes:
-        return self._head() + self.signer_name.to_wire() + self.signature
-
-    def canonical_wire(self) -> bytes:
-        return self.signed_prefix() + self.signature
-
     @cached_property
     def _signed_prefix(self) -> bytes:
-        return self._head() + self.signer_name.canonical_wire()
+        return self._head(canonical=True)
 
     def signed_prefix(self) -> bytes:
         """The RRSIG RDATA with the signature field excluded, in the canonical
         form that prefixes the data a signature covers; computed once."""
         return self._signed_prefix
 
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        head = unpack_exact(_RRSIG_HEAD, msg, offset, end, "RRSIG")
-        signer, offset = read_name(msg, offset + _RRSIG_HEAD.size, end)
-        return cls(*head, signer, msg[offset:end]), end
-
-    def to_text(self, origin=None) -> str:
-        b64 = base64.b64encode(self.signature).decode("ascii")
-        return "{} {} {} {} {} {} {} {} {}".format(
-            rtype_to_text(self.type_covered), self.algorithm, self.labels,
-            self.original_ttl, timestamp_to_text(self.expiration),
-            timestamp_to_text(self.inception), self.key_tag,
-            self.signer_name.to_text(), b64)
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        if len(tokens) < 9:
-            raise RdataError("RRSIG needs 9 fields")
-        covered, alg, labels, ottl, exp, inc, tag, signer, *sig = tokens
-        return cls(rtype_from_text(covered), int(alg), int(labels), int(ottl),
-                   timestamp_from_text(exp), timestamp_from_text(inc), int(tag),
-                   DnsName.from_text(signer, origin), base64.b64decode("".join(sig)))
-
 
 @dataclass(frozen=True)
-class NsecRdata(_WireOnce):
+class NsecRdata(Rdata):
     RTYPE = RType.NSEC
+    FIELDS = (NAME, BITMAP)
     next_name: DnsName
     type_bitmap: frozenset[int]
 
-    def _encode(self) -> bytes:
-        return self.next_name.to_wire() + self._bitmap_wire
-
-    def canonical_wire(self) -> bytes:
-        return self.next_name.canonical_wire() + self._bitmap_wire
-
     @cached_property
-    def _bitmap_wire(self) -> bytes:
-        return encode_type_bitmap(self.type_bitmap)
-
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        next_name, offset = read_name(msg, offset, end)
-        return cls(next_name, decode_type_bitmap(msg[offset:end])), end
-
-    def to_text(self, origin=None) -> str:
-        name = self.next_name.relativize(origin) if origin else self.next_name.to_text()
-        types = " ".join(rtype_to_text(t) for t in sorted(self.type_bitmap))
-        return f"{name} {types}" if types else name
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        next_name, *types = tokens
-        return cls(DnsName.from_text(next_name, origin),
-                   frozenset(rtype_from_text(t) for t in types))
+    def _rest(self) -> bytes:
+        """The type bitmap's octets, computed once: both forms end with them,
+        and encoding them is costly."""
+        return BITMAP.write(self.type_bitmap)
 
 
 def nsec_gap_covers(owner_key: tuple, next_key: tuple, key: tuple) -> bool:
@@ -441,31 +433,13 @@ def nsec_gap_covers(owner_key: tuple, next_key: tuple, key: tuple) -> bool:
 
 
 @dataclass(frozen=True)
-class DsRdata(_WireOnce):
+class DsRdata(Rdata):
     RTYPE = RType.DS
+    FIELDS = (U16, U8, U8, HEX)
     key_tag: int
     algorithm: int
     digest_type: int
     digest: bytes
-
-    def _encode(self) -> bytes:
-        return _KEY_HEAD.pack(self.key_tag, self.algorithm, self.digest_type) + self.digest
-
-    canonical_wire = _WireOnce.to_wire
-
-    @classmethod
-    def from_wire(cls, msg, offset, end):
-        head = unpack_exact(_KEY_HEAD, msg, offset, end, "DS")
-        return cls(*head, msg[offset + _KEY_HEAD.size : end]), end
-
-    def to_text(self, origin=None) -> str:
-        return f"{self.key_tag} {self.algorithm} {self.digest_type} {self.digest.hex().upper()}"
-
-    @classmethod
-    def from_text(cls, tokens, origin):
-        key_tag, algorithm, digest_type, *digest = tokens
-        return cls(int(key_tag), int(algorithm), int(digest_type),
-                   bytes.fromhex("".join(digest)))
 
 
 @dataclass(frozen=True)
@@ -486,18 +460,9 @@ class OpaqueRdata:
         return f"\\# {len(self.data)} {self.data.hex()}" if self.data else "\\# 0"
 
 
-RDATA_CLASSES = {
-    RType.A: ARdata,
-    RType.NS: NsRdata,
-    RType.CNAME: CnameRdata,
-    RType.SOA: SoaRdata,
-    RType.MX: MxRdata,
-    RType.TXT: TxtRdata,
-    RType.DNSKEY: DnskeyRdata,
-    RType.RRSIG: RrsigRdata,
-    RType.NSEC: NsecRdata,
-    RType.DS: DsRdata,
-}
+RDATA_CLASSES = {cls.RTYPE: cls for cls in (ARdata, NsRdata, CnameRdata, SoaRdata, MxRdata,
+                                            TxtRdata, DnskeyRdata, RrsigRdata, NsecRdata,
+                                            DsRdata)}
 
 
 #: Most RDATA values `rdata_from_wire` keeps, and the most octets one may

@@ -24,7 +24,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .config import RootHints
 from .message import DnsMessage, Edns, Rcode, make_query, make_reply
 from .names import DnsName
 from .records import ResourceRecord, RRset, RType, group_rrsets
@@ -231,12 +230,11 @@ class RecursiveResolver:
     the memo of signature checks that passed, shared by all its lookups, and
     its cache holds the DNSKEY and DS RRsets its walks verified."""
 
-    def __init__(self, hints: RootHints | list[str], transport: Transport,
+    def __init__(self, hint_addresses: list[str], transport: Transport,
                  cache: Cache | None = None,
                  config: ResolverConfig | None = None,
                  clock: Callable[[], float] = time.time):
-        self.hint_addresses = (hints.addresses()
-                               if isinstance(hints, RootHints) else list(hints))
+        self.hint_addresses = list(hint_addresses)
         if not self.hint_addresses:
             raise ValueError("recursion needs at least one hint address")
         self.transport = transport

@@ -58,7 +58,7 @@ def answer_authoritative(query: DnsMessage, zones: list) -> DnsMessage:
         reply.rcode = Rcode.REFUSED
         return reply
 
-    cut = zone.deepest_cut(q.name)
+    cut = zone.highest_cut(q.name)
     if cut is not None and not (q.name == cut and q.qtype == RType.DS):
         # Referral toward the child zone; never authoritative.
         ns = zone.records_at(cut, RType.NS)

@@ -97,20 +97,22 @@ class Zone:
     def delegations(self) -> set[DnsName]:
         return set(self._index().cuts)
 
-    def deepest_cut(self, name: DnsName) -> DnsName | None:
-        """The deepest delegation cut at or above `name`. Cuts lie strictly
-        below the apex, so the walk stops at the apex's depth."""
+    def highest_cut(self, name: DnsName) -> DnsName | None:
+        """The highest delegation cut at or above `name`, where the zone's
+        authority ends: a cut below it is occluded. Cuts lie strictly below
+        the apex, so the walk stops at the apex's depth."""
         cuts = self._index().cuts
         apex_depth = len(self.apex.labels)
+        highest = None
         while len(name.labels) > apex_depth:
             if name in cuts:
-                return name
+                highest = name
             name = name.parent()
-        return None
+        return highest
 
     def is_glue(self, owner: DnsName) -> bool:
         """True when `owner` lies strictly below a delegation cut."""
-        return bool(owner.labels) and self.deepest_cut(owner.parent()) is not None
+        return bool(owner.labels) and self.highest_cut(owner.parent()) is not None
 
     def covering_nsec(self, name: DnsName) -> ResourceRecord | None:
         """The NSEC owned by `name`, or else the one whose owner..next span

@@ -46,11 +46,13 @@ def ref_is_glue(zone, owner):
     return any(owner != cut and owner.is_subdomain_of(cut) for cut in ref_delegations(zone))
 
 
-def ref_deepest_cut(zone, qname):
+def ref_highest_cut(zone, qname):
+    """The shallowest cut at or above `qname`: the zone's authority ends
+    there, and any cut below it is occluded."""
     best = None
     for cut in ref_delegations(zone):
         if qname.is_subdomain_of(cut):
-            if best is None or len(cut.labels) > len(best.labels):
+            if best is None or len(cut.labels) < len(best.labels):
                 best = cut
     return best
 
@@ -92,7 +94,7 @@ def ref_answer(query, zone):
     if not q.name.is_subdomain_of(zone.apex):
         reply.rcode = Rcode.REFUSED
         return reply
-    cut = ref_deepest_cut(zone, q.name)
+    cut = ref_highest_cut(zone, q.name)
     if cut is not None and not (q.name == cut and q.qtype == RType.DS):
         reply.authority.extend(ref_records_at(zone, cut, RType.NS))
         if dnssec and not ref_add_with_sigs(zone, reply.authority, cut, RType.DS, dnssec):
@@ -187,7 +189,7 @@ def test_indexed_lookups_match_linear_scans(text):
     assert zone.soa_record is next(r for r in zone.records if r.rtype == RType.SOA)
     for name in probe_names(zone):
         assert zone.is_glue(name) == ref_is_glue(zone, name), name
-        assert zone.deepest_cut(name) == ref_deepest_cut(zone, name), name
+        assert zone.highest_cut(name) == ref_highest_cut(zone, name), name
         assert zone.covering_nsec(name) is ref_covering_nsec(zone, name), name
         assert sorted(map(repr, zone.records_at(name))) == sorted(map(repr, ref_records_at(zone, name)))
         for qtype in QTYPES:
@@ -208,11 +210,9 @@ def denied_by_rule(zone, name, qtype):
 
 def negative_rcode(zone, reply):
     """The rcode of an authoritative negative answer, else None. The DS at
-    the apex is the parent's to deny, and an occluded name's data is not the
-    zone's: neither answer is a proof an NSEC could give."""
+    the apex is the parent's to deny, so no NSEC of the zone proves it."""
     q = reply.question
-    if "aa" not in reply.flags or reply.answers or zone.is_glue(q.name) \
-            or (q.name, q.qtype) == (zone.apex, RType.DS):
+    if "aa" not in reply.flags or reply.answers or (q.name, q.qtype) == (zone.apex, RType.DS):
         return None
     return reply.rcode
 
@@ -231,7 +231,7 @@ def test_signed_index_matches_records_at_and_rrsigs_covering(zone_fixture, reque
 
 
 @pytest.mark.parametrize("zone_fixture", ["signed_zone", "parent_zone_signed"])
-def test_deepest_cut_matches_the_linear_scan(zone_fixture, request):
+def test_highest_cut_matches_the_linear_scan(zone_fixture, request):
     """The cut walk stops at the apex's depth. For the reference zone and
     its delegating parent, every owner, names one and three labels below
     each cut, the apex, the names above it and names outside the zone get
@@ -240,11 +240,38 @@ def test_deepest_cut_matches_the_linear_scan(zone_fixture, request):
     names = zone.owners() | outside_names(zone)
     for cut in ref_delegations(zone):
         names |= {DnsName.from_text("x", cut), DnsName.from_text("a.b.c", cut)}
-    assert any(zone.deepest_cut(name) is not None for name in names) \
+    assert any(zone.highest_cut(name) is not None for name in names) \
         == bool(ref_delegations(zone))
     for name in names:
-        assert zone.deepest_cut(name) == ref_deepest_cut(zone, name), name
+        assert zone.highest_cut(name) == ref_highest_cut(zone, name), name
         assert zone.is_glue(name) == ref_is_glue(zone, name), name
+
+
+NESTED_CUTS = """$TTL 300
+@ IN SOA ns hostmaster 1 3600 900 604800 300
+@ IN NS ns
+ns IN A 10.0.0.1
+a IN NS ns.a
+ns.a IN A 10.0.1.1
+a.a IN NS ns.a.a
+ns.a.a IN A 10.0.2.1
+"""
+
+
+@pytest.mark.parametrize("qname, qtype", [("a.a", RType.DS), ("x.a.a", RType.A)],
+                         ids=["occluded-cut-ds", "below-occluded-cut"])
+@pytest.mark.parametrize("do", [False, True], ids=["plain", "dnssec"])
+def test_a_cut_below_a_cut_is_referred_to_the_higher_one(qname, qtype, do):
+    """The zone's authority ends at `a`, so `a.a NS` is occluded: its DS and
+    the names below it are referred to `a`, as the linear reference does."""
+    zone = sign_zone(parse_zone_file(NESTED_CUTS, ORIGIN), ZSK, KSK, SigningPolicy(),
+                     FIXED_NOW).zone
+    query = make_query(DnsName.from_text(qname, ORIGIN), qtype, id=7, edns=Edns(do=do))
+    reply = answer_authoritative(query, [zone])
+    assert reply.rcode == Rcode.NOERROR and "aa" not in reply.flags and not reply.answers
+    assert {r.owner for r in reply.authority if r.rtype == RType.NS} \
+        == {DnsName.from_text("a", ORIGIN)}
+    assert reply == ref_answer(query, zone)
 
 
 def test_lookup_tables_follow_appended_records():
